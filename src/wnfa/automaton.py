@@ -16,6 +16,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 
 class ParseError(Exception):
@@ -117,17 +118,12 @@ class WheelerNfa:
                 raise ValueError(f"final state {f} out of range 1..{self.n}")
         object.__setattr__(self, "finals", finals)
 
-    def out_edges(self, u: int) -> tuple[tuple[int, int, int], ...]:
-        return tuple(e for e in self.edges if e[0] == u)
-
 
 class ViolationKind(enum.Enum):
     NOT_REACHABLE = "NotReachable"
     NOT_CO_REACHABLE = "NotCoReachable"
     AXIOM2 = "Axiom2"
     AXIOM3 = "Axiom3"
-    DUPLICATE_EDGE = "DuplicateEdge"
-    BAD_INITIAL = "BadInitial"
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,6 @@ class Violation:
                 f"{k.value}: equal-label edges {edge(e1)} and {edge(e2)} cross: "
                 f"targets {e1[1]} < {e2[1]} but sources {e1[0]} > {e2[0]}"
             )
-        if k is ViolationKind.DUPLICATE_EDGE:
-            return f"{k.value}: edge {edge(self.witness[0])} repeated"
         return f"{k.value}: {self.witness}"
 
 
@@ -202,11 +196,12 @@ def _reachable(a: WheelerNfa) -> set[int]:
     return seen
 
 
-def _co_reachable(a: WheelerNfa) -> set[int]:
-    seen = set(a.finals)
-    stack = list(a.finals)
-    back: list[list[int]] = [[] for _ in range(a.n + 1)]
-    for u, v, _ in a.edges:
+def _co_reachable(n: int, edges, finals) -> set[int]:
+    """States 1..n with a path over ``edges`` into ``finals``."""
+    seen = set(finals)
+    stack = list(finals)
+    back: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v, _ in edges:
         back[v].append(u)
     while stack:
         v = stack.pop()
@@ -230,23 +225,16 @@ def validate(a: WheelerNfa) -> ValidationReport:
     Both axiom checks scan edges sorted by (label, target, source); a
     violating pair exists iff one exists between order-adjacent entries of
     that sorted sequence, so the checks cost O(|E| log |E|) instead of
-    comparing all pairs.  An empty report means ``a`` is a Wheeler NFA whose
-    Wheeler order is the position order.
+    comparing all pairs.  Duplicate edges are not checked here: the
+    constructor already rejects them.  An empty report means ``a`` is a
+    Wheeler NFA whose Wheeler order is the position order.
     """
     violations: list[Violation] = []
-
-    # Duplicates cannot survive the constructor; kept as a defensive check
-    # against instances produced by dataclasses.replace-style surgery.
-    by_key = sorted(a.edges)
-    for prev, cur in zip(by_key, by_key[1:]):
-        if prev == cur:
-            violations.append(Violation(ViolationKind.DUPLICATE_EDGE, (cur,)))
-
     reach = _reachable(a)
     for u in range(1, a.n + 1):
         if u not in reach:
             violations.append(Violation(ViolationKind.NOT_REACHABLE, (u,)))
-    co = _co_reachable(a)
+    co = _co_reachable(a.n, a.edges, a.finals)
     for u in range(1, a.n + 1):
         if u not in co:
             violations.append(Violation(ViolationKind.NOT_CO_REACHABLE, (u,)))
@@ -270,12 +258,8 @@ def validate(a: WheelerNfa) -> ValidationReport:
 
 
 def is_deterministic(a: WheelerNfa) -> bool:
-    seen = set()
-    for u, _, lab in a.edges:
-        if (u, lab) in seen:
-            return False
-        seen.add((u, lab))
-    return True
+    # Canonical order puts edges sharing (source, label) next to each other.
+    return all(p[0] != c[0] or p[2] != c[2] for p, c in pairwise(a.edges))
 
 
 def _word_tokens(word) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .automaton import OrderedAlphabet, WheelerNfa, is_deterministic
+from .automaton import WheelerNfa, _successors, is_deterministic
 from .generators import gen_random_wheeler
 from .minimize import minimize
 from .relations import Relation, compose, inverse
@@ -77,23 +77,19 @@ def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
         if not is_deterministic(side):
             raise ValueError("dfa_language_bisimulation needs deterministic inputs")
 
-    def token_step(x: WheelerNfa) -> list[dict[str, int]]:
-        step: list[dict[str, int]] = [dict() for _ in range(x.n + 1)]
-        for u, v, lab in x.edges:
-            step[u][x.alphabet.symbols[lab]] = v
-        return step
-
-    step1 = token_step(a)
-    step2 = token_step(a2)
+    succ1 = _successors(a)
+    succ2 = _successors(a2)
+    # a's label ranks as a2's ranks; None where a2 lacks the token
+    to2 = [a2.alphabet.rank.get(tok) for tok in a.alphabet.symbols]
     seen = {(1, 1)}
     stack = [(1, 1)]
     while stack:
         u, u2 = stack.pop()
-        for tok, v in step1[u].items():
-            v2 = step2[u2].get(tok)
-            if v2 is not None and (v, v2) not in seen:
-                seen.add((v, v2))
-                stack.append((v, v2))
+        for lab, (v,) in succ1[u].items():
+            for v2 in succ2[u2].get(to2[lab], ()):
+                if (v, v2) not in seen:
+                    seen.add((v, v2))
+                    stack.append((v, v2))
     return Relation(a.n, a2.n, frozenset(seen))
 
 
@@ -106,15 +102,10 @@ def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
     are not re-expanded.
     """
     tokens = sorted(set(a.alphabet.symbols) | set(a2.alphabet.symbols))
-
-    def token_succ(x: WheelerNfa) -> list[dict[str, list[int]]]:
-        succ: list[dict[str, list[int]]] = [dict() for _ in range(x.n + 1)]
-        for u, v, lab in x.edges:
-            succ[u].setdefault(x.alphabet.symbols[lab], []).append(v)
-        return succ
-
-    succ1 = token_succ(a)
-    succ2 = token_succ(a2)
+    # each token's rank on either side; None where that side lacks it
+    ranks = [(a.alphabet.rank.get(tok), a2.alphabet.rank.get(tok)) for tok in tokens]
+    succ1 = _successors(a)
+    succ2 = _successors(a2)
 
     start = (frozenset({1}), frozenset({1}))
     frontier = [start]
@@ -124,9 +115,9 @@ def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
         for s1, s2 in frontier:
             if any(u in a.finals for u in s1) != any(u in a2.finals for u in s2):
                 return False
-            for tok in tokens:
-                t1 = frozenset(v for u in s1 for v in succ1[u].get(tok, ()))
-                t2 = frozenset(v for u in s2 for v in succ2[u].get(tok, ()))
+            for r1, r2 in ranks:
+                t1 = frozenset(v for u in s1 for v in succ1[u].get(r1, ()))
+                t2 = frozenset(v for u in s2 for v in succ2[u].get(r2, ()))
                 if not t1 and not t2:
                     continue
                 node = (t1, t2)
@@ -146,11 +137,10 @@ def unrollable_loops(a: WheelerNfa) -> list[tuple[int, int]]:
     """Self-loops (state, label) that :func:`unroll_self_loop` may expand."""
     in_labels: list[set[int]] = [set() for _ in range(a.n + 1)]
     in_sources: list[dict[int, list[int]]] = [dict() for _ in range(a.n + 1)]
-    out_by_label: list[dict[int, list[int]]] = [dict() for _ in range(a.n + 1)]
     for u, v, lab in a.edges:
         in_labels[v].add(lab)
         in_sources[v].setdefault(lab, []).append(u)
-        out_by_label[u].setdefault(lab, []).append(v)
+    out_by_label = _successors(a)
     found = []
     for v in range(1, a.n + 1):
         for lab, targets in out_by_label[v].items():
@@ -263,9 +253,3 @@ def gen_equal_language_dfa_pair(
 
     return expand(base), expand(base)
 
-
-def hand_dfa(symbols, n, edges, finals) -> WheelerNfa:
-    """Small helper for writing explicit automata in tests and scripts."""
-    alphabet = OrderedAlphabet(tuple(symbols))
-    ranked = tuple((u, v, alphabet.rank_of(tok)) for u, v, tok in edges)
-    return WheelerNfa(n, alphabet, ranked, frozenset(finals))

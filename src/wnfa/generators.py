@@ -6,7 +6,7 @@ import logging
 import random
 import string
 
-from .automaton import OrderedAlphabet, WheelerNfa
+from .automaton import OrderedAlphabet, WheelerNfa, _co_reachable
 
 logger = logging.getLogger(__name__)
 
@@ -147,17 +147,7 @@ def gen_random_wheeler(
 
     # Co-reachability repair: anything that cannot reach a final state is
     # made final itself.
-    back: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v, _ in edges:
-        back[v].append(u)
-    co = set(finals)
-    stack = list(finals)
-    while stack:
-        v = stack.pop()
-        for u in back[v]:
-            if u not in co:
-                co.add(u)
-                stack.append(u)
+    co = _co_reachable(n, edges, finals)
     finals |= {i for i in range(1, n + 1) if i not in co}
 
     return WheelerNfa(n, alphabet, tuple(dict.fromkeys(edges)), frozenset(finals))

@@ -3,9 +3,10 @@
 The pipeline has three stages, all O(|E|) with label ranks bounded by the
 alphabet size:
 
-1. :func:`compute_extrema` scans counting-sorted edge lists to find, for
-   every state, the extreme (label, source) pairs among its incoming edges
-   and its set of outgoing labels.
+1. :func:`compute_extrema` makes one pass over the edges in the
+   constructor's canonical (source, label, target) order to find, for every
+   state, the extreme (label, source) pairs among its incoming edges and its
+   set of outgoing labels.
 2. :func:`boundary_bits` runs a single queue-driven propagation that marks
    each boundary between order-adjacent states that must separate.  The 0
    bits that survive encode the maximum order-respecting autobisimulation.
@@ -27,30 +28,6 @@ TRACE_SEED = "SEED"
 TRACE_DEQUEUE = "DEQUEUE"
 TRACE_SET_JMIN = "SET-from-jmin"
 TRACE_SET_JMAX = "SET-from-jmax"
-
-
-def _counting_pass(order: list[int], keys: list[int], key_max: int) -> list[int]:
-    """One stable counting-sort pass of edge indices by ``keys``."""
-    counts = [0] * (key_max + 1)
-    for idx in order:
-        counts[keys[idx]] += 1
-    total = 0
-    for k in range(key_max + 1):
-        counts[k], total = total, total + counts[k]
-    out = [0] * len(order)
-    for idx in order:
-        k = keys[idx]
-        out[counts[k]] = idx
-        counts[k] += 1
-    return out
-
-
-def _radix_order(edges, components) -> list[int]:
-    """Edge indices sorted by the given (keys, key_max) components, major first."""
-    order = list(range(len(edges)))
-    for keys, key_max in reversed(components):
-        order = _counting_pass(order, keys, key_max)
-    return order
 
 
 @dataclass(frozen=True)
@@ -75,45 +52,37 @@ class IncidenceExtrema:
 
 
 def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
-    n = a.n
-    m = len(a.edges)
-    sigma = max(len(a.alphabet), 1)
-    src = [e[0] for e in a.edges]
-    dst = [e[1] for e in a.edges]
-    lab = [e[2] for e in a.edges]
+    """One pass over ``a.edges`` in canonical (source, label, target) order.
 
+    Sources ascend, so for target v a strictly smaller label gives a new
+    (label, source) minimum and a label at least the current maximum gives
+    a new maximum (a later edge into v never has a smaller source).  Each
+    source's labels are contiguous and ascending, so collapsing runs of
+    equal labels yields its outgoing-label set in the same pass.
+    """
+    n = a.n
     a_min: list[int | None] = [None] * (n + 1)
     j_min: list[int | None] = [None] * (n + 1)
     a_max: list[int | None] = [None] * (n + 1)
     j_max: list[int | None] = [None] * (n + 1)
-
-    # In-edges sorted by (target, label, source): the first edge of each
-    # target block is its (label, source) minimum, the last its maximum.
-    by_in = _radix_order(a.edges, [(dst, n), (lab, sigma - 1), (src, n)])
-    pos = 0
-    while pos < m:
-        t = dst[by_in[pos]]
-        first = by_in[pos]
-        while pos < m and dst[by_in[pos]] == t:
-            last = by_in[pos]
-            pos += 1
-        a_min[t], j_min[t] = lab[first], src[first]
-        a_max[t], j_max[t] = lab[last], src[last]
-
-    # Out-edges sorted by (source, label): collapse each source block into
-    # its distinct label tuple.
     out_sets: list[tuple[int, ...]] = [()] * (n + 1)
-    by_out = _radix_order(a.edges, [(src, n), (lab, sigma - 1)])
-    pos = 0
-    while pos < m:
-        s = src[by_out[pos]]
-        labels: list[int] = []
-        while pos < m and src[by_out[pos]] == s:
-            cur = lab[by_out[pos]]
-            if not labels or labels[-1] != cur:
-                labels.append(cur)
-            pos += 1
-        out_sets[s] = tuple(labels)
+
+    s = 0
+    labels: list[int] = []
+    for u, v, lab in a.edges:
+        if u != s:
+            out_sets[s] = tuple(labels)
+            s, labels = u, [lab]
+        elif labels[-1] != lab:
+            labels.append(lab)
+        cur = a_min[v]
+        if cur is None:
+            a_min[v], j_min[v], a_max[v], j_max[v] = lab, u, lab, u
+        elif lab < cur:
+            a_min[v], j_min[v] = lab, u
+        elif lab >= a_max[v]:
+            a_max[v], j_max[v] = lab, u
+    out_sets[s] = tuple(labels)
 
     z = [False] * (n + 1)
     for i in range(2, n + 1):
@@ -196,9 +165,11 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
 
     ``bits`` must encode an autobisimulation of ``a`` (the caller's
     responsibility; arrays from :func:`boundary_bits` or the oracle qualify).
-    Edges and finals are the images of the originals, deduplicated by a
-    counting sort over (source class, label, target class).  A deterministic
-    input is asserted to stay deterministic.
+    Edges and finals are the images of the originals; the mapped edges are
+    deduplicated in first-seen order and the :class:`WheelerNfa` constructor
+    puts them in canonical order, the only sort of the stage.  Raises
+    ValueError when ``bits`` turns a deterministic input non-deterministic,
+    which no autobisimulation can do.
     """
     n = a.n
     if bits.n != n:
@@ -212,22 +183,11 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
         class_map[p] = cls
     m = cls
 
-    sigma = max(len(a.alphabet), 1)
-    mapped = [(class_map[u], class_map[v], lb) for u, v, lb in a.edges]
-    src = [e[0] for e in mapped]
-    dst = [e[1] for e in mapped]
-    lab = [e[2] for e in mapped]
-    order = _radix_order(mapped, [(src, m), (lab, sigma - 1), (dst, m)])
-    edges: list[tuple[int, int, int]] = []
-    for idx in order:
-        e = mapped[idx]
-        if not edges or edges[-1] != e:
-            edges.append(e)
-
+    edges = dict.fromkeys((class_map[u], class_map[v], lb) for u, v, lb in a.edges)
     finals = frozenset(class_map[f] for f in a.finals)
     q = WheelerNfa(m, a.alphabet, tuple(edges), finals)
-    if is_deterministic(a):
-        assert is_deterministic(q), "quotient of a deterministic automaton went non-deterministic"
+    if is_deterministic(a) and not is_deterministic(q):
+        raise ValueError("quotient of a deterministic automaton went non-deterministic")
     return QuotientResult(q, tuple(class_map[1:]))
 
 

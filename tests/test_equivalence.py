@@ -9,7 +9,6 @@ from wnfa import (
     gen_distinctness,
     gen_equal_language_dfa_pair,
     gen_random_wheeler,
-    hand_dfa,
     is_deterministic,
     is_wheeler_bisimulation,
     language_sample_equal,
@@ -28,6 +27,8 @@ from wnfa.equivalence import (
     REASON_SIZE_MISMATCH,
 )
 
+from conftest import build
+
 
 class TestOrderRespectingIso:
     def test_reflexive(self, sample_nfa):
@@ -40,15 +41,15 @@ class TestOrderRespectingIso:
         assert not order_respecting_iso(gen_chain(3), gen_chain(4))
 
     def test_final_set_matters(self):
-        a = hand_dfa("a", 2, [(1, 2, "a")], {2})
-        b = hand_dfa("a", 2, [(1, 2, "a")], {1, 2})
+        a = build("a", 2, [(1, 2, "a")], {2})
+        b = build("a", 2, [(1, 2, "a")], {1, 2})
         assert not order_respecting_iso(a, b)
 
     def test_labels_compared_as_tokens(self):
-        a = hand_dfa(("x", "y"), 2, [(1, 2, "x")], {2})
-        b = hand_dfa(("y", "x"), 2, [(1, 2, "x")], {2})
+        a = build(("x", "y"), 2, [(1, 2, "x")], {2})
+        b = build(("y", "x"), 2, [(1, 2, "x")], {2})
         assert order_respecting_iso(a, b)  # same token on the only edge
-        c = hand_dfa(("y", "x"), 2, [(1, 2, "y")], {2})
+        c = build(("y", "x"), 2, [(1, 2, "y")], {2})
         assert not order_respecting_iso(a, c)
 
 
@@ -117,8 +118,8 @@ class TestDfaLanguageBisimulation:
         assert is_wheeler_bisimulation(g, g, rel) is None
 
     def test_unrolled_pair_passes(self):
-        two = hand_dfa("a", 2, [(1, 2, "a"), (2, 2, "a")], {2})
-        three = hand_dfa("a", 3, [(1, 2, "a"), (2, 3, "a"), (3, 3, "a")], {2, 3})
+        two = build("a", 2, [(1, 2, "a"), (2, 2, "a")], {2})
+        three = build("a", 3, [(1, 2, "a"), (2, 3, "a"), (3, 3, "a")], {2, 3})
         assert validate(two).ok and validate(three).ok
         rel = dfa_language_bisimulation(three, two)
         assert is_wheeler_bisimulation(three, two, rel) is None
@@ -129,6 +130,13 @@ class TestDfaLanguageBisimulation:
         rel = dfa_language_bisimulation(a, b)
         assert is_wheeler_bisimulation(a, b, rel) is not None
         assert not language_sample_equal(a, b, 8)
+
+    def test_different_alphabets_match_by_token(self):
+        # "b" has rank 1 on the left and rank 0 on the right
+        a = build("ab", 3, [(1, 2, "a"), (1, 3, "b")], {3})
+        b = build("b", 2, [(1, 2, "b")], {2})
+        assert dfa_language_bisimulation(a, b).pairs == {(1, 1), (3, 2)}
+        assert dfa_language_bisimulation(b, a).pairs == {(1, 1), (2, 3)}
 
     def test_nondeterministic_input_rejected(self, sample_nfa):
         with pytest.raises(ValueError, match="deterministic"):
@@ -153,18 +161,21 @@ class TestLanguageSampleEqual:
         assert not language_sample_equal(gen_distinctness("ab"), gen_distinctness("abb"), 4)
 
     def test_different_alphabets_compare_by_token(self):
-        a = hand_dfa("ab", 2, [(1, 2, "a")], {2})
-        b = hand_dfa("a", 2, [(1, 2, "a")], {2})
+        a = build("ab", 2, [(1, 2, "a")], {2})
+        b = build("a", 2, [(1, 2, "a")], {2})
         assert language_sample_equal(a, b, 5)
-        c = hand_dfa("ab", 2, [(1, 2, "b")], {2})
+        c = build("ab", 2, [(1, 2, "b")], {2})
         assert not language_sample_equal(a, c, 5)
+        # "b" has rank 1 in c and rank 0 in d
+        d = build("b", 2, [(1, 2, "b")], {2})
+        assert language_sample_equal(c, d, 5)
 
 
 class TestUnrolling:
     def test_unrolls_the_stock_example(self, aa_star_loop_last):
         assert unrollable_loops(aa_star_loop_last) == [(2, 0)]
         three = unroll_self_loop(aa_star_loop_last, 2, 0)
-        expected = hand_dfa("a", 3, [(1, 2, "a"), (2, 3, "a"), (3, 3, "a")], {2, 3})
+        expected = build("a", 3, [(1, 2, "a"), (2, 3, "a"), (3, 3, "a")], {2, 3})
         assert three == expected
 
     def test_loop_on_initial_state(self, aa_star_loop_first):

@@ -80,6 +80,29 @@ class TestComputeExtrema:
                 assert (ex.j_max[i], i, ex.a_max[i]) in edge_set
                 assert ex.a_min[i] <= ex.a_max[i]
 
+    def test_matches_definition(self):
+        # extrema are the min/max of (label, source) over each state's
+        # in-edges; out_sets the sorted distinct out-labels
+        rng = random.Random(22)
+        for k in range(500):
+            a = gen_random_wheeler(
+                rng.randint(1, 300), rng.randint(1, 3), rng.randint(1, 5),
+                rng.randrange(2**30), deterministic=k % 2 == 1,
+            )
+            into = [[] for _ in range(a.n + 1)]
+            out = [set() for _ in range(a.n + 1)]
+            for u, v, lab in a.edges:
+                into[v].append((lab, u))
+                out[u].add(lab)
+            ex = compute_extrema(a)
+            for i in range(1, a.n + 1):
+                assert (ex.a_min[i], ex.j_min[i]) == min(into[i], default=(None, None))
+                assert (ex.a_max[i], ex.j_max[i]) == max(into[i], default=(None, None))
+                assert ex.out_sets[i] == tuple(sorted(out[i]))
+            assert ex.z[2:] == tuple(
+                ex.out_sets[i - 1] != ex.out_sets[i] for i in range(2, a.n + 1)
+            )
+
 
 class TestBoundaryBits:
     def test_two_level_tree_all_splits(self, two_level_tree):
@@ -170,6 +193,12 @@ class TestQuotient:
     def test_size_mismatch(self, sample_nfa):
         with pytest.raises(ValueError):
             quotient(sample_nfa, BoundaryBits(3, (True, True)))
+
+    def test_deterministic_input_must_stay_deterministic(self):
+        # merging 1 and 2 gives two a-edges out of the merged state
+        a = build("a", 3, [(1, 2, "a"), (2, 3, "a")], {3})
+        with pytest.raises(ValueError, match="non-deterministic"):
+            quotient(a, BoundaryBits(3, (False, True)))
 
     def test_class_map_is_monotone_and_onto(self):
         rng = random.Random(41)
