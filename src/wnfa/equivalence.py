@@ -3,18 +3,22 @@
 Two Wheeler NFAs admit a Wheeler bisimulation between them iff their
 minimized forms are isomorphic, and because both sides carry a total order
 there is only one candidate isomorphism: the position-identity map.  That
-turns the whole decision into minimize + compare, and a concrete witness
-relation can be assembled from the two class maps when the answer is yes.
+turns the whole decision into minimize + compare, which is linear in the
+input apart from sorting the quotients' edges by token.  When the answer is
+yes, a concrete witness relation is assembled from the two class maps the
+first time a caller reads it; it holds one pair per two states sharing a
+quotient state, so it can be quadratic in size.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automaton import WheelerNfa, _successors, is_deterministic
 from .generators import gen_random_wheeler
-from .minimize import minimize
+from .minimize import QuotientResult, minimize
 from .relations import Relation, compose, inverse
 
 REASON_SIZE_MISMATCH = "SizeMismatch"
@@ -24,9 +28,27 @@ REASON_ISOMORPHIC = "Isomorphic"
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
+    """The answer of :func:`wheeler_bisimilar`, with ``reason`` naming why.
+
+    ``results`` holds the two sides' minimization results when the answer
+    is yes and None otherwise; :attr:`witness` is derived from them.
+    """
+
     bisimilar: bool
-    witness: Relation | None
     reason: str
+    results: tuple[QuotientResult, QuotientResult] | None = None
+
+    @cached_property
+    def witness(self) -> Relation | None:
+        """A Wheeler bisimulation between the two inputs, or None if none exists.
+
+        Built on first read as (inverse of the second class map) o (the first
+        class map): bisimilar quotients coincide position for position.
+        """
+        if self.results is None:
+            return None
+        r1, r2 = self.results
+        return compose(inverse(r2.as_relation()), r1.as_relation())
 
 
 def _token_edges(a: WheelerNfa) -> list[tuple[int, str, int]]:
@@ -50,19 +72,19 @@ def wheeler_bisimilar(a: WheelerNfa, a2: WheelerNfa) -> EquivalenceVerdict:
     """Decide whether some Wheeler bisimulation relates ``a`` and ``a2``.
 
     Minimizes both sides and compares the quotients under the unique
-    order-respecting candidate map.  When they match, the returned witness
-    is (inverse of a2's class map) o (identity on the quotient) o (a's
-    class map), which the Wheeler-bisimulation checker accepts.
+    order-respecting candidate map, in linear time apart from sorting the
+    quotients' edges by token.  When they match, the verdict keeps both
+    minimization results, and its :attr:`~EquivalenceVerdict.witness`
+    (built when first read) is a relation the Wheeler-bisimulation checker
+    accepts.
     """
     r1 = minimize(a)
     r2 = minimize(a2)
     if r1.quotient.n != r2.quotient.n:
-        return EquivalenceVerdict(False, None, REASON_SIZE_MISMATCH)
+        return EquivalenceVerdict(False, REASON_SIZE_MISMATCH)
     if not order_respecting_iso(r1.quotient, r2.quotient):
-        return EquivalenceVerdict(False, None, REASON_NOT_ISOMORPHIC)
-    iso = Relation.identity(r1.quotient.n)
-    witness = compose(inverse(r2.as_relation()), compose(iso, r1.as_relation()))
-    return EquivalenceVerdict(True, witness, REASON_ISOMORPHIC)
+        return EquivalenceVerdict(False, REASON_NOT_ISOMORPHIC)
+    return EquivalenceVerdict(True, REASON_ISOMORPHIC, (r1, r2))
 
 
 def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:

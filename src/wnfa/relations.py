@@ -92,12 +92,12 @@ class Partition:
         object.__setattr__(self, "class_of", tuple(self.class_of))
         if len(self.class_of) != self.n:
             raise ValueError("class_of must assign every position")
-        seen: list[int] = []
+        next_id = 0
         for c in self.class_of:
-            if c not in seen:
-                if c != len(seen):
-                    raise ValueError("class ids must be consecutive from 0 by first use")
-                seen.append(c)
+            if c == next_id:
+                next_id += 1
+            elif c not in range(next_id):
+                raise ValueError("class ids must be consecutive from 0 by first use")
 
     @property
     def num_classes(self) -> int:

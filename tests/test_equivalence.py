@@ -1,14 +1,19 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from wnfa import (
+    OrderedAlphabet,
     Relation,
+    WheelerNfa,
+    compose,
     dfa_language_bisimulation,
     gen_chain,
     gen_distinctness,
     gen_equal_language_dfa_pair,
     gen_random_wheeler,
+    inverse,
     is_deterministic,
     is_wheeler_bisimulation,
     language_sample_equal,
@@ -28,6 +33,49 @@ from wnfa.equivalence import (
 )
 
 from conftest import build
+
+
+def staircase(base: WheelerNfa, copies: int) -> WheelerNfa:
+    """Replace every state of the DFA ``base`` but 1 by ``copies`` adjacent copies.
+
+    Each (target, label) group's source copies, in position order, reach the
+    target copies through a monotone non-crossing staircase, so the result
+    is a Wheeler DFA and every copy is Wheeler-bisimilar to its original.
+    """
+    first, count = [0] * (base.n + 1), [0] * (base.n + 1)
+    finals = set()
+    m = 0
+    for v in range(1, base.n + 1):
+        first[v], count[v] = m + 1, 1 if v == 1 else copies
+        if v in base.finals:
+            finals.update(range(m + 1, m + 1 + count[v]))
+        m += count[v]
+    groups = defaultdict(list)
+    for u, v, lab in base.edges:
+        groups[(v, lab)].append(u)
+    edges = []
+    for (t, lab), sources in groups.items():
+        src = [p for u in sources for p in range(first[u], first[u] + count[u])]
+        for s, p in enumerate(src):
+            for k in range(s * count[t] // len(src), ((s + 1) * count[t] - 1) // len(src) + 1):
+                edges.append((p, first[t] + k, lab))
+    return WheelerNfa(m, base.alphabet, tuple(edges), frozenset(finals))
+
+
+def with_extra_token(a: WheelerNfa, at: int) -> WheelerNfa:
+    """``a`` over its alphabet with an unused token inserted at rank ``at``."""
+    symbols = list(a.alphabet.symbols)
+    symbols.insert(at, "unused")
+    alphabet = OrderedAlphabet(tuple(symbols))
+    edges = tuple((u, v, alphabet.rank[a.alphabet.symbols[lab]]) for u, v, lab in a.edges)
+    return WheelerNfa(a.n, alphabet, edges, a.finals)
+
+
+def eager_witness(x: WheelerNfa, y: WheelerNfa) -> Relation:
+    """The witness as the decision used to build it, through the identity."""
+    rx, ry = minimize(x), minimize(y)
+    iso = Relation.identity(rx.quotient.n)
+    return compose(inverse(ry.as_relation()), compose(iso, rx.as_relation()))
 
 
 class TestOrderRespectingIso:
@@ -99,6 +147,54 @@ class TestWheelerBisimilar:
             q = minimize(a).quotient
             assert wheeler_bisimilar(a, q).bisimilar
             assert language_sample_equal(a, q, 8)
+
+    def test_witness_matches_the_eager_construction(self):
+        rng = random.Random(54)
+        checked = staircases = negatives = 0
+        for _ in range(110):
+            a = gen_random_wheeler(
+                rng.randint(1, 25), 2, rng.randint(1, 3), rng.randrange(2**30),
+                deterministic=rng.random() < 0.5,
+            )
+            q = minimize(a).quotient
+            pairs = [
+                (a, q),
+                (q, a),
+                (a, a),
+                (a, parse_wnfa(serialize_wnfa(a))),
+                (a, with_extra_token(q, rng.randint(0, len(q.alphabet)))),
+            ]
+            if is_deterministic(a) and a.n > 1:
+                # every state but 1 becomes a multi-state class on both sides
+                x, y = staircase(a, 2), staircase(a, 3)
+                assert validate(x).ok and validate(y).ok
+                pairs.append((x, y))
+                staircases += 1
+            for x, y in pairs:
+                verdict = wheeler_bisimilar(x, y)
+                assert verdict.bisimilar
+                assert verdict.witness == eager_witness(x, y)
+                if x.alphabet == y.alphabet:  # the checker matches labels by rank
+                    assert is_wheeler_bisimulation(x, y, verdict.witness) is None
+                checked += 1
+            other = gen_random_wheeler(a.n, 2, 2, rng.randrange(2**30))
+            verdict = wheeler_bisimilar(a, other)
+            if verdict.bisimilar:
+                assert verdict.witness == eager_witness(a, other)
+            else:
+                assert verdict.witness is None
+                negatives += 1
+        assert checked >= 500 and staircases >= 30 and negatives >= 50
+
+    def test_witness_is_built_when_first_read(self):
+        a = gen_distinctness("abb")
+        verdict = wheeler_bisimilar(a, minimize(a).quotient)
+        assert "witness" not in vars(verdict)
+        witness = verdict.witness
+        assert verdict.witness is witness
+        negative = wheeler_bisimilar(gen_chain(3), gen_chain(4))
+        assert "witness" not in vars(negative)
+        assert negative.witness is None
 
     def test_language_equality_does_not_imply_bisimilarity(
         self, aa_star_loop_first, aa_star_loop_last

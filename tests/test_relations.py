@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,13 @@ class TestBitsAndPartitions:
             Partition(2, (1, 0))  # ids must appear in order of first use
         with pytest.raises(ValueError):
             Partition(3, (0, 1))
+        with pytest.raises(ValueError):
+            Partition(3, (0, -1, 1))
+
+    def test_partition_validation_is_linear(self):
+        start = time.perf_counter()
+        Partition(50_000, tuple(range(50_000)))
+        assert time.perf_counter() - start < 1.0
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):
