@@ -181,19 +181,9 @@ def _successors(a: WheelerNfa) -> list[dict[int, list[int]]]:
     return out
 
 
-def _reachable(a: WheelerNfa) -> set[int]:
-    seen = {1}
-    stack = [1]
-    fwd: list[list[int]] = [[] for _ in range(a.n + 1)]
-    for u, v, _ in a.edges:
-        fwd[u].append(v)
-    while stack:
-        u = stack.pop()
-        for v in fwd[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _ranks_in(a: WheelerNfa, a2: WheelerNfa) -> list[int | None]:
+    """``a``'s label ranks as ``a2``'s ranks; None where ``a2`` lacks the token."""
+    return [a2.alphabet.rank.get(tok) for tok in a.alphabet.symbols]
 
 
 def _co_reachable(n: int, edges, finals) -> set[int]:
@@ -230,7 +220,8 @@ def validate(a: WheelerNfa) -> ValidationReport:
     Wheeler NFA whose Wheeler order is the position order.
     """
     violations: list[Violation] = []
-    reach = _reachable(a)
+    # reachable from 1 = co-reachable to 1 over the reversed edges
+    reach = _co_reachable(a.n, ((v, u, lab) for u, v, lab in a.edges), {1})
     for u in range(1, a.n + 1):
         if u not in reach:
             violations.append(Violation(ViolationKind.NOT_REACHABLE, (u,)))
@@ -299,17 +290,29 @@ def accepts(a: WheelerNfa, word) -> bool:
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _lex(line: str) -> list[tuple[str, int]]:
-    if line.lstrip().startswith("#"):
-        return []
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+def _lines(text: str):
+    """Yield (line number, line, tokens) for each line neither blank nor a comment."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        toks = line.split()
+        if toks and toks[0][0] != "#":
+            yield lineno, line, toks
 
 
-def _parse_int(tok: str, what: str, lineno: int, col: int) -> int:
+def _error(message: str, lineno: int, line: str, k: int = 0) -> ParseError:
+    """A ParseError at token ``k`` of ``line``, whose column is found only here."""
+    return ParseError(message, lineno, [m.start() for m in _TOKEN_RE.finditer(line)][k] + 1)
+
+
+def _parse_int(what: str, lineno: int, line: str, toks: list[str], k: int) -> int:
     try:
-        return int(tok, 10)
+        return int(toks[k], 10)
     except ValueError:
-        raise ParseError(f"expected {what}, got {tok!r}", lineno, col) from None
+        raise _error(f"expected {what}, got {toks[k]!r}", lineno, line, k) from None
+
+
+def _check_range(what: str, i: int, size: int, lineno: int, line: str, k: int) -> None:
+    if not 1 <= i <= size:
+        raise _error(f"{what} {i} out of range 1..{size}", lineno, line, k)
 
 
 def parse_wnfa(text: str) -> WheelerNfa:
@@ -324,80 +327,67 @@ def parse_wnfa(text: str) -> WheelerNfa:
     finals: frozenset[int] | None = None
     edges: list[tuple[int, int, int]] = []
     seen_edges: set[tuple[int, int, int]] = set()
-    last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        toks = _lex(raw)
-        if not toks:
-            continue
-        kw, kwcol = toks[0]
+    for lineno, line, toks in _lines(text):
+        kw = toks[0]
         if kw == "alphabet":
             if alphabet is not None:
-                raise ParseError("repeated alphabet line", lineno, kwcol)
+                raise _error("repeated alphabet line", lineno, line)
             try:
-                alphabet = OrderedAlphabet(tuple(t for t, _ in toks[1:]))
+                alphabet = OrderedAlphabet(tuple(toks[1:]))
             except ValueError as exc:
-                raise ParseError(str(exc), lineno, kwcol) from None
+                raise _error(str(exc), lineno, line) from None
         elif kw == "states":
             if alphabet is None:
-                raise ParseError("states line before alphabet line", lineno, kwcol)
+                raise _error("states line before alphabet line", lineno, line)
             if n is not None:
-                raise ParseError("repeated states line", lineno, kwcol)
+                raise _error("repeated states line", lineno, line)
             if len(toks) != 2:
-                raise ParseError("states line takes exactly one count", lineno, kwcol)
-            n = _parse_int(toks[1][0], "state count", lineno, toks[1][1])
+                raise _error("states line takes exactly one count", lineno, line)
+            n = _parse_int("state count", lineno, line, toks, 1)
             if n < 1:
-                raise ParseError("state count must be >= 1", lineno, toks[1][1])
+                raise _error("state count must be >= 1", lineno, line, 1)
         elif kw == "final":
             if n is None:
-                raise ParseError("final line before states line", lineno, kwcol)
+                raise _error("final line before states line", lineno, line)
             if finals is not None:
-                raise ParseError("repeated final line", lineno, kwcol)
+                raise _error("repeated final line", lineno, line)
             acc = set()
-            for tok, col in toks[1:]:
-                i = _parse_int(tok, "state index", lineno, col)
-                if not (1 <= i <= n):
-                    raise ParseError(f"state index {i} out of range 1..{n}", lineno, col)
+            for k in range(1, len(toks)):
+                i = _parse_int("state index", lineno, line, toks, k)
+                _check_range("state index", i, n, lineno, line, k)
                 acc.add(i)
             finals = frozenset(acc)
         elif kw == "edge":
             if finals is None:
-                raise ParseError("edge line before final line", lineno, kwcol)
+                raise _error("edge line before final line", lineno, line)
             if len(toks) != 4:
-                raise ParseError("edge line takes: edge <src> <dst> <tok>", lineno, kwcol)
-            (s_tok, s_col), (d_tok, d_col), (l_tok, l_col) = toks[1], toks[2], toks[3]
-            src = _parse_int(s_tok, "state index", lineno, s_col)
-            dst = _parse_int(d_tok, "state index", lineno, d_col)
-            assert n is not None and alphabet is not None
-            if not (1 <= src <= n):
-                raise ParseError(f"state index {src} out of range 1..{n}", lineno, s_col)
-            if not (1 <= dst <= n):
-                raise ParseError(f"state index {dst} out of range 1..{n}", lineno, d_col)
-            if l_tok not in alphabet:
-                raise ParseError(f"unknown symbol {l_tok!r}", lineno, l_col)
-            e = (src, dst, alphabet.rank_of(l_tok))
+                raise _error("edge line takes: edge <src> <dst> <tok>", lineno, line)
+            # both indices parse before either is range-checked
+            src = _parse_int("state index", lineno, line, toks, 1)
+            dst = _parse_int("state index", lineno, line, toks, 2)
+            _check_range("state index", src, n, lineno, line, 1)
+            _check_range("state index", dst, n, lineno, line, 2)
+            lab = alphabet.rank.get(toks[3])
+            if lab is None:
+                raise _error(f"unknown symbol {toks[3]!r}", lineno, line, 3)
+            e = (src, dst, lab)
             if e in seen_edges:
-                raise ParseError(
-                    f"duplicate edge {src} {dst} {l_tok}", lineno, kwcol
-                )
+                raise _error(f"duplicate edge {src} {dst} {toks[3]}", lineno, line)
             seen_edges.add(e)
             edges.append(e)
         elif kw == "initial":
-            raise ParseError(
+            raise _error(
                 "unsupported 'initial' line: the initial state is always position 1",
                 lineno,
-                kwcol,
+                line,
             )
         else:
-            raise ParseError(f"unknown directive {kw!r}", lineno, kwcol)
+            raise _error(f"unknown directive {kw!r}", lineno, line)
 
-    if alphabet is None:
-        raise ParseError("missing alphabet line", last_line + 1)
-    if n is None:
-        raise ParseError("missing states line", last_line + 1)
-    if finals is None:
-        raise ParseError("missing final line", last_line + 1)
+    for value, name in ((alphabet, "alphabet"), (n, "states"), (finals, "final")):
+        if value is None:
+            raise ParseError(f"missing {name} line", len(text.splitlines()) + 1)
     return WheelerNfa(n, alphabet, tuple(edges), finals)
 
 

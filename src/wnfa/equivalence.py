@@ -4,10 +4,10 @@ Two Wheeler NFAs admit a Wheeler bisimulation between them iff their
 minimized forms are isomorphic, and because both sides carry a total order
 there is only one candidate isomorphism: the position-identity map.  That
 turns the whole decision into minimize + compare, which is linear in the
-input apart from sorting the quotients' edges by token.  When the answer is
-yes, a concrete witness relation is assembled from the two class maps the
-first time a caller reads it; it holds one pair per two states sharing a
-quotient state, so it can be quadratic in size.
+input: the quotients' edges are compared as sets, labels matched by token.
+When the answer is yes, a concrete witness relation is assembled from the
+two class maps the first time a caller reads it; it holds one pair per two
+states sharing a quotient state, so it can be quadratic in size.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automaton import WheelerNfa, _successors, is_deterministic
+from .automaton import WheelerNfa, _ranks_in, _successors, is_deterministic
 from .generators import gen_random_wheeler
-from .minimize import QuotientResult, minimize
+from .minimize import QuotientResult, compute_extrema, minimize
 from .relations import Relation, compose, inverse
 
 REASON_SIZE_MISMATCH = "SizeMismatch"
@@ -51,32 +51,31 @@ class EquivalenceVerdict:
         return compose(inverse(r2.as_relation()), r1.as_relation())
 
 
-def _token_edges(a: WheelerNfa) -> list[tuple[int, str, int]]:
-    return sorted((u, a.alphabet.symbols[lab], v) for u, v, lab in a.edges)
-
-
 def order_respecting_iso(a: WheelerNfa, a2: WheelerNfa) -> bool:
     """Is the position-identity map an isomorphism between ``a`` and ``a2``?
 
     For Wheeler NFAs this is the only map that can be one, since an
-    isomorphism between ordered automata must respect both orders.
+    isomorphism between ordered automata must respect both orders.  Labels
+    are compared as tokens: each edge of ``a``, translated to ``a2``'s
+    ranks, must be an edge of ``a2``.  Translation keeps distinct edges
+    distinct (an edge whose token ``a2`` lacks matches nothing), so with
+    equal edge counts this makes the edge sets equal.
     """
-    if a.n != a2.n:
+    if a.n != a2.n or a.finals != a2.finals or len(a.edges) != len(a2.edges):
         return False
-    if a.finals != a2.finals:
-        return False
-    return _token_edges(a) == _token_edges(a2)
+    to2 = _ranks_in(a, a2)
+    edges2 = set(a2.edges)
+    return all((u, v, to2[lab]) in edges2 for u, v, lab in a.edges)
 
 
 def wheeler_bisimilar(a: WheelerNfa, a2: WheelerNfa) -> EquivalenceVerdict:
     """Decide whether some Wheeler bisimulation relates ``a`` and ``a2``.
 
     Minimizes both sides and compares the quotients under the unique
-    order-respecting candidate map, in linear time apart from sorting the
-    quotients' edges by token.  When they match, the verdict keeps both
-    minimization results, and its :attr:`~EquivalenceVerdict.witness`
-    (built when first read) is a relation the Wheeler-bisimulation checker
-    accepts.
+    order-respecting candidate map, in linear time.  When they match, the
+    verdict keeps both minimization results, and its
+    :attr:`~EquivalenceVerdict.witness` (built when first read) is a
+    relation the Wheeler-bisimulation checker accepts.
     """
     r1 = minimize(a)
     r2 = minimize(a2)
@@ -101,8 +100,7 @@ def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
 
     succ1 = _successors(a)
     succ2 = _successors(a2)
-    # a's label ranks as a2's ranks; None where a2 lacks the token
-    to2 = [a2.alphabet.rank.get(tok) for tok in a.alphabet.symbols]
+    to2 = _ranks_in(a, a2)
     seen = {(1, 1)}
     stack = [(1, 1)]
     while stack:
@@ -157,21 +155,17 @@ def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
 
 def unrollable_loops(a: WheelerNfa) -> list[tuple[int, int]]:
     """Self-loops (state, label) that :func:`unroll_self_loop` may expand."""
-    in_labels: list[set[int]] = [set() for _ in range(a.n + 1)]
-    in_sources: list[dict[int, list[int]]] = [dict() for _ in range(a.n + 1)]
-    for u, v, lab in a.edges:
-        in_labels[v].add(lab)
-        in_sources[v].setdefault(lab, []).append(u)
+    ex = compute_extrema(a)
     out_by_label = _successors(a)
     found = []
     for v in range(1, a.n + 1):
         for lab, targets in out_by_label[v].items():
             if targets != [v]:
                 continue  # the label must leave v only through the self-loop
-            if lab != max(in_labels[v]):
+            if lab != ex.a_max[v]:
                 continue  # the new copy sits right after v, so its single
                 # in-label must not undercut v's other in-labels
-            if any(u > v for u in in_sources[v][lab]):
+            if ex.j_max[v] > v:
                 continue  # crossing sources would break the equal-label rule
             # the copy replicates v's other out-edges, so each must be the
             # only edge of its label (a duplicated label would cross) and
@@ -223,18 +217,14 @@ def unroll_self_loop(a: WheelerNfa, v: int, lab: int) -> WheelerNfa:
 def _addable_self_loops(a: WheelerNfa) -> list[tuple[int, int]]:
     """(state, label) pairs where a new self-loop keeps the automaton a
     Wheeler DFA and becomes unrollable afterwards."""
-    out_pairs = {(u, lab) for u, _, lab in a.edges}
-    in_labels: list[set[int]] = [set() for _ in range(a.n + 1)]
+    ex = compute_extrema(a)
     by_label: dict[int, list[tuple[int, int]]] = {}
     for u, v, lab in a.edges:
-        in_labels[v].add(lab)
         by_label.setdefault(lab, []).append((u, v))
     found = []
     for v in range(1, a.n + 1):
-        if not in_labels[v]:
-            continue
-        lab = max(in_labels[v])
-        if (v, lab) in out_pairs:
+        lab = ex.a_max[v]
+        if lab is None or lab in ex.out_sets[v]:
             continue
         ok = all(
             (x <= v if t <= v else x >= v) for x, t in by_label.get(lab, ())

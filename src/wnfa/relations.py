@@ -12,7 +12,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automaton import ParseError, WheelerNfa, _lex, _parse_int, _successors
+from .automaton import (
+    ParseError,
+    WheelerNfa,
+    _check_range,
+    _error,
+    _lines,
+    _parse_int,
+    _ranks_in,
+    _successors,
+)
 
 
 @dataclass(frozen=True)
@@ -200,23 +209,27 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
 
     Returns None when ``rel`` is a bisimulation from ``a`` to ``a2``; else
     the first failure in a deterministic scan (pairs sorted, each state's
-    edges sorted by label then target).
+    edges sorted by label then target).  Edges match by token, so the two
+    alphabets may rank their tokens differently; a failure names the label
+    by its rank in its own automaton.
     """
     if (rel.left_size, rel.right_size) != (a.n, a2.n):
         raise ValueError("relation size does not match the automata")
     succ1 = _successors(a)
     succ2 = _successors(a2)
+    to2 = _ranks_in(a, a2)
+    to1 = _ranks_in(a2, a)
     pairs = sorted(rel.pairs)
 
     for u, u2 in pairs:
         for lab in sorted(succ1[u]):
             for v in sorted(succ1[u][lab]):
-                if not any((v, v2) in rel.pairs for v2 in succ2[u2].get(lab, ())):
+                if not any((v, v2) in rel.pairs for v2 in succ2[u2].get(to2[lab], ())):
                     return CheckFailure("forward", pair=(u, u2), edge=(u, v, lab))
     for u, u2 in pairs:
         for lab in sorted(succ2[u2]):
             for v2 in sorted(succ2[u2][lab]):
-                if not any((v, v2) in rel.pairs for v in succ1[u].get(lab, ())):
+                if not any((v, v2) in rel.pairs for v in succ1[u].get(to1[lab], ())):
                     return CheckFailure("backward", pair=(u, u2), edge=(u2, v2, lab))
     if (1, 1) not in rel.pairs:
         return CheckFailure("initial")
@@ -374,36 +387,29 @@ def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> Boundar
 def parse_relation(text: str) -> Relation:
     left = right = None
     pairs = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        toks = _lex(raw)
-        if not toks:
-            continue
-        kw, kwcol = toks[0]
+    for lineno, line, toks in _lines(text):
+        kw = toks[0]
         if kw == "relation":
             if left is not None:
-                raise ParseError("repeated relation line", lineno, kwcol)
+                raise _error("repeated relation line", lineno, line)
             if len(toks) != 3:
-                raise ParseError("relation line takes: relation <n> <n'>", lineno, kwcol)
-            left = _parse_int(toks[1][0], "size", lineno, toks[1][1])
-            right = _parse_int(toks[2][0], "size", lineno, toks[2][1])
+                raise _error("relation line takes: relation <n> <n'>", lineno, line)
+            left = _parse_int("size", lineno, line, toks, 1)
+            right = _parse_int("size", lineno, line, toks, 2)
         elif kw == "pair":
             if left is None:
-                raise ParseError("pair line before relation line", lineno, kwcol)
+                raise _error("pair line before relation line", lineno, line)
             if len(toks) != 3:
-                raise ParseError("pair line takes: pair <i> <j>", lineno, kwcol)
-            i = _parse_int(toks[1][0], "index", lineno, toks[1][1])
-            j = _parse_int(toks[2][0], "index", lineno, toks[2][1])
-            if not (1 <= i <= left):
-                raise ParseError(f"index {i} out of range 1..{left}", lineno, toks[1][1])
-            if not (1 <= j <= right):
-                raise ParseError(f"index {j} out of range 1..{right}", lineno, toks[2][1])
+                raise _error("pair line takes: pair <i> <j>", lineno, line)
+            i = _parse_int("index", lineno, line, toks, 1)
+            j = _parse_int("index", lineno, line, toks, 2)
+            _check_range("index", i, left, lineno, line, 1)
+            _check_range("index", j, right, lineno, line, 2)
             pairs.append((i, j))
         else:
-            raise ParseError(f"unknown directive {kw!r}", lineno, kwcol)
-    if left is None or right is None:
-        raise ParseError("missing relation line", last_line + 1)
+            raise _error(f"unknown directive {kw!r}", lineno, line)
+    if left is None:
+        raise ParseError("missing relation line", len(text.splitlines()) + 1)
     return Relation(left, right, frozenset(pairs))
 
 

@@ -218,6 +218,23 @@ class TestCheckRelationCommand:
             main(["check-relation", a, b, r])
         assert err.value.code == 2
 
+    def test_alphabets_ranking_tokens_differently(self, files, capsys):
+        # b is rank 1 on the left and rank 0 on the right
+        write, tmp_path = files
+        x = write("x.wnfa", "alphabet a b\nstates 2\nfinal 2\nedge 1 2 b\n")
+        y = write("y.wnfa", "alphabet b\nstates 2\nfinal 2\nedge 1 2 b\n")
+        w = str(tmp_path / "w.rel")
+        assert main(["equiv", x, y, "--witness", w]) == 0
+        assert main(["check-relation", x, y, w, "--wheeler"]) == 0
+        assert main(["check-relation", x, y, w, "--standard"]) == 0
+        # equal ranks, different tokens: the edges must not match
+        z = write("z.wnfa", "alphabet a b\nstates 2\nfinal 2\nedge 1 2 a\n")
+        capsys.readouterr()
+        assert main(["check-relation", z, y, w, "--standard"]) == 1
+        assert capsys.readouterr().out == (
+            "forward: pair (1, 1) cannot match the left edge (src=1, dst=2, label-rank=0)\n"
+        )
+
 
 class TestGenCommand:
     def test_chain(self, capsys):

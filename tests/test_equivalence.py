@@ -99,6 +99,13 @@ class TestOrderRespectingIso:
         assert order_respecting_iso(a, b)  # same token on the only edge
         c = build(("y", "x"), 2, [(1, 2, "y")], {2})
         assert not order_respecting_iso(a, c)
+        # a token present on one side only
+        d = build(("y",), 2, [(1, 2, "y")], {2})
+        assert order_respecting_iso(c, d) and order_respecting_iso(d, c)
+        assert not order_respecting_iso(a, d) and not order_respecting_iso(d, a)
+        # disjoint alphabets: equal ranks, different tokens
+        e = build(("p", "q"), 2, [(1, 2, "p")], {2})
+        assert not order_respecting_iso(a, e) and not order_respecting_iso(e, a)
 
 
 class TestWheelerBisimilar:

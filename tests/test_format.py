@@ -70,6 +70,56 @@ def test_comment_lines_and_blanks_ignored():
     assert parse_wnfa(doc).n == 1
 
 
+HEAD = "alphabet a\nstates 2\nfinal 2\n"
+
+# (document, str(error), line, column): one row per ParseError site, plus
+# rows pinning how whitespace other than spaces moves columns and lines.
+PARSE_ERRORS = [
+    ("", "line 1: missing alphabet line", 1, None),
+    ("# only a comment\n\n", "line 3: missing alphabet line", 3, None),
+    ("alphabet a\n", "line 2: missing states line", 2, None),
+    ("alphabet a\nstates 1\n", "line 3: missing final line", 3, None),
+    ("alphabet a\r\nstates 1\r\n", "line 3: missing final line", 3, None),
+    ("alphabet a\nalphabet b\n", "line 2, column 1: repeated alphabet line", 2, 1),
+    ("alphabet a b a\n", "line 1, column 1: duplicate symbol 'a'", 1, 1),
+    ("states 1\n", "line 1, column 1: states line before alphabet line", 1, 1),
+    ("alphabet a\nstates 1\nstates 1\n", "line 3, column 1: repeated states line", 3, 1),
+    ("alphabet a\nstates\n", "line 2, column 1: states line takes exactly one count", 2, 1),
+    ("alphabet a\nstates 1 2\n", "line 2, column 1: states line takes exactly one count", 2, 1),
+    ("alphabet a\nstates x\n", "line 2, column 8: expected state count, got 'x'", 2, 8),
+    ("alphabet a\nstates 0\n", "line 2, column 8: state count must be >= 1", 2, 8),
+    ("alphabet a\nstates  -3\n", "line 2, column 9: state count must be >= 1", 2, 9),
+    ("alphabet a\nfinal 1\n", "line 2, column 1: final line before states line", 2, 1),
+    (HEAD + "final 1\n", "line 4, column 1: repeated final line", 4, 1),
+    ("alphabet a\nstates 2\nfinal 1 y\n", "line 3, column 9: expected state index, got 'y'", 3, 9),
+    ("alphabet a\nstates 2\nfinal 1 3\n", "line 3, column 9: state index 3 out of range 1..2", 3, 9),
+    ("alphabet a\nstates 2\nfinal 99 x\n", "line 3, column 7: state index 99 out of range 1..2", 3, 7),
+    ("alphabet a\nstates 2\nedge 1 2 a\n", "line 3, column 1: edge line before final line", 3, 1),
+    (HEAD + "edge 1 2\n", "line 4, column 1: edge line takes: edge <src> <dst> <tok>", 4, 1),
+    (HEAD + "edge 1 2 a # note\n", "line 4, column 1: edge line takes: edge <src> <dst> <tok>", 4, 1),
+    (HEAD + "edge x 2 a\n", "line 4, column 6: expected state index, got 'x'", 4, 6),
+    (HEAD + "edge 1 y a\n", "line 4, column 8: expected state index, got 'y'", 4, 8),
+    (HEAD + "edge 3 1 a\n", "line 4, column 6: state index 3 out of range 1..2", 4, 6),
+    (HEAD + "edge 1 3 a\n", "line 4, column 8: state index 3 out of range 1..2", 4, 8),
+    (HEAD + "edge 0 1 a\n", "line 4, column 6: state index 0 out of range 1..2", 4, 6),
+    (HEAD + "edge 99 x a\n", "line 4, column 9: expected state index, got 'x'", 4, 9),
+    (HEAD + "edge 1 2 zz\n", "line 4, column 10: unknown symbol 'zz'", 4, 10),
+    (HEAD + "edge 1 2 a\nedge 1 2 a\n", "line 5, column 1: duplicate edge 1 2 a", 5, 1),
+    (HEAD + "edge 1 2 a\n edge +1 02 a\n", "line 5, column 2: duplicate edge 1 2 a", 5, 2),
+    ("alphabet a\nstates 2\ninitial 1\nfinal 2\n",
+     "line 3, column 1: unsupported 'initial' line: the initial state is always position 1", 3, 1),
+    ("alphabet a\nstates 1\nfinal 1\nnonsense x\n", "line 4, column 1: unknown directive 'nonsense'", 4, 1),
+    # columns count characters: a tab, U+3000 and leading spaces are one each
+    (HEAD + "edge\t1\t2\tzz\n", "line 4, column 10: unknown symbol 'zz'", 4, 10),
+    (HEAD + "edge 1\u3000\u30002 zz\n", "line 4, column 11: unknown symbol 'zz'", 4, 11),
+    (HEAD + "   edge 1 2 zz\n", "line 4, column 13: unknown symbol 'zz'", 4, 13),
+    ("  # indented comment\n  nonsense\n", "line 2, column 3: unknown directive 'nonsense'", 2, 3),
+    # \x0b ends a line, like CRLF and LF
+    ("alphabet a\nstates 2\x0bfinal 2\nedge 1 3 a\n", "line 4, column 8: state index 3 out of range 1..2", 4, 8),
+    ("alphabet a\r\nstates 2\r\nfinal 2\r\nedge 1 2 zz\r\n", "line 4, column 10: unknown symbol 'zz'", 4, 10),
+]
+
+
 class TestParseErrors:
     def check(self, doc, fragment, line=None):
         with pytest.raises(ParseError) as err:
@@ -117,6 +167,12 @@ class TestParseErrors:
             parse_wnfa("alphabet a\nstates 2\nfinal 2\nedge 1 2 zz\n")
         assert err.value.line == 4
         assert err.value.column == 10
+
+    @pytest.mark.parametrize("doc, message, line, column", PARSE_ERRORS)
+    def test_exact(self, doc, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_wnfa(doc)
+        assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
 
 
 def test_dot_export(sample_nfa):

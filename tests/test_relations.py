@@ -350,3 +350,35 @@ class TestRelationFormat:
             parse_relation("relation 2 2\npair 3 1\n")
         with pytest.raises(ParseError, match="unknown directive"):
             parse_relation("relation 2 2\nedge 1 1 a\n")
+
+    # (document, str(error), line, column) for every ParseError site
+    @pytest.mark.parametrize(
+        "doc, message, line, column",
+        [
+            ("", "line 1: missing relation line", 1, None),
+            ("# nothing here\n", "line 2: missing relation line", 2, None),
+            ("relation 2 2\nrelation 2 2\n", "line 2, column 1: repeated relation line", 2, 1),
+            ("relation 2\n", "line 1, column 1: relation line takes: relation <n> <n'>", 1, 1),
+            ("relation x 2\n", "line 1, column 10: expected size, got 'x'", 1, 10),
+            ("relation 2 y\n", "line 1, column 12: expected size, got 'y'", 1, 12),
+            ("pair 1 1\n", "line 1, column 1: pair line before relation line", 1, 1),
+            ("relation 2 2\npair 1\n", "line 2, column 1: pair line takes: pair <i> <j>", 2, 1),
+            ("relation 2 2\npair x 1\n", "line 2, column 6: expected index, got 'x'", 2, 6),
+            ("relation 2 2\npair 1 y\n", "line 2, column 8: expected index, got 'y'", 2, 8),
+            ("relation 2 2\npair 3 1\n", "line 2, column 6: index 3 out of range 1..2", 2, 6),
+            ("relation 2 3\npair 1 4\n", "line 2, column 8: index 4 out of range 1..3", 2, 8),
+            ("relation 2 2\npair 9 x\n", "line 2, column 8: expected index, got 'x'", 2, 8),
+            ("relation 2 2\nedge 1 1 a\n", "line 2, column 1: unknown directive 'edge'", 2, 1),
+            ("relation 2 2\npair\t1\t3\n", "line 2, column 8: index 3 out of range 1..2", 2, 8),
+            ("relation 2 2\npair\u30001 3\n", "line 2, column 8: index 3 out of range 1..2", 2, 8),
+            ("relation 2 2\n  pair 1 3\n", "line 2, column 10: index 3 out of range 1..2", 2, 10),
+            ("relation 2 2\x0bpair 1 3\n", "line 2, column 8: index 3 out of range 1..2", 2, 8),
+            ("relation 2 2\r\n\r\npair 1 3\r\n", "line 3, column 8: index 3 out of range 1..2", 3, 8),
+        ],
+    )
+    def test_parse_error_exact(self, doc, message, line, column):
+        from wnfa import ParseError
+
+        with pytest.raises(ParseError) as err:
+            parse_relation(doc)
+        assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
