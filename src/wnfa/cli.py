@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from .automaton import ParseError, parse_wnfa, serialize_wnfa, to_dot, validate
-from .bench import format_report, run_bench
 from .equivalence import wheeler_bisimilar
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
 from .minimize import format_trace, minimize
@@ -42,26 +41,24 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load_wnfa(path: str):
+def _load(path: str, parse=parse_wnfa):
+    """Parse the document at ``path``; any failure to read it exits 2."""
     try:
-        return parse_wnfa(_read(path))
-    except ParseError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    except OSError as exc:
+        return parse(_read(path))
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
 def cmd_validate(args) -> int:
-    a = _load_wnfa(args.input)
+    a = _load(args.input)
     report = validate(a)
     print(report.describe(a))
     return 0 if report.ok else 1
 
 
 def cmd_minimize(args) -> int:
-    a = _load_wnfa(args.input)
+    a = _load(args.input)
     report = validate(a)
     if not report.ok:
         print(report.describe(a), file=sys.stderr)
@@ -72,11 +69,8 @@ def cmd_minimize(args) -> int:
     class_lines = "".join(
         f"class {p} {c}\n" for p, c in enumerate(result.class_map, 1)
     )
-    if args.class_map:
-        _write(args.output, out)
-        _write(args.class_map, class_lines)
-    else:
-        _write(args.output, out + class_lines)
+    _write(args.output, out)
+    _write(args.class_map, class_lines)
     if args.trace:
         _write(args.trace, format_trace(trace))
     if args.dot:
@@ -85,8 +79,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    a = _load_wnfa(args.a)
-    b = _load_wnfa(args.b)
+    a = _load(args.a)
+    b = _load(args.b)
     for path, x in ((args.a, a), (args.b, b)):
         report = validate(x)
         if not report.ok:
@@ -102,13 +96,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_check_relation(args) -> int:
-    a = _load_wnfa(args.a)
-    b = _load_wnfa(args.b)
-    try:
-        rel = parse_relation(_read(args.relation))
-    except ParseError as exc:
-        print(f"{args.relation}: {exc}", file=sys.stderr)
-        return 2
+    a = _load(args.a)
+    b = _load(args.b)
+    rel = _load(args.relation, parse_relation)
     check = is_wheeler_bisimulation if args.wheeler else is_bisimulation
     try:
         failure = check(a, b, rel)
@@ -139,14 +129,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    report = run_bench(args.sizes, seed=args.seed)
-    sys.stdout.write(format_report(report))
-    return 0 if report.enqueue_bound_ok else 1
-
-
 def cmd_dev_oracle(args) -> int:
-    a = _load_wnfa(args.input)
+    a = _load(args.input)
     try:
         bits = oracle_max_wheeler_autobisimulation(a, cap=args.cap)
     except ValueError as exc:
@@ -160,7 +144,7 @@ def cmd_dev_oracle(args) -> int:
 
 
 def cmd_dev_std_bisim(args) -> int:
-    a = _load_wnfa(args.input)
+    a = _load(args.input)
     part = max_standard_autobisimulation(a)
     for p, c in enumerate(part.class_of, 1):
         print(f"class {p} {c + 1}")
@@ -217,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--deterministic", action="store_true")
     g.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("bench", help="time the minimization pipeline")
-    p.add_argument("--sizes", type=int, nargs="*", default=[], help="target edge counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

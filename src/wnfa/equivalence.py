@@ -12,13 +12,11 @@ states sharing a quotient state, so it can be quadratic in size.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
 from .automaton import WheelerNfa, _ranks_in, _successors, is_deterministic
-from .generators import gen_random_wheeler
-from .minimize import QuotientResult, compute_extrema, minimize
+from .minimize import QuotientResult, minimize
 from .relations import Relation, compose, inverse
 
 REASON_SIZE_MISMATCH = "SizeMismatch"
@@ -146,122 +144,3 @@ def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
                     next_frontier.append(node)
         frontier = next_frontier
     return True
-
-
-# --------------------------------------------------------------------------
-# Equal-language Wheeler DFA pairs, via self-loop unrolling.
-# --------------------------------------------------------------------------
-
-
-def unrollable_loops(a: WheelerNfa) -> list[tuple[int, int]]:
-    """Self-loops (state, label) that :func:`unroll_self_loop` may expand."""
-    ex = compute_extrema(a)
-    out_by_label = _successors(a)
-    found = []
-    for v in range(1, a.n + 1):
-        for lab, targets in out_by_label[v].items():
-            if targets != [v]:
-                continue  # the label must leave v only through the self-loop
-            if lab != ex.a_max[v]:
-                continue  # the new copy sits right after v, so its single
-                # in-label must not undercut v's other in-labels
-            if ex.j_max[v] > v:
-                continue  # crossing sources would break the equal-label rule
-            # the copy replicates v's other out-edges, so each must be the
-            # only edge of its label (a duplicated label would cross) and
-            # not a second self-loop (its copy would feed the new state a
-            # smaller in-label)
-            ok = all(
-                len(others) == 1 and others != [v]
-                for lb, others in out_by_label[v].items()
-                if lb != lab
-            )
-            if ok:
-                found.append((v, lab))
-    return found
-
-
-def unroll_self_loop(a: WheelerNfa, v: int, lab: int) -> WheelerNfa:
-    """Split state ``v``'s self-loop on ``lab`` into a two-state chain.
-
-    A new state is inserted at position v+1: the loop edge is redirected to
-    it, it loops on ``lab`` itself, and it copies every other outgoing edge
-    and the acceptance status of ``v``.  The construction preserves the
-    language, the Wheeler order, and determinism; it is only sound for the
-    loops reported by :func:`unrollable_loops`.
-    """
-    if (v, lab) not in unrollable_loops(a):
-        raise ValueError(f"self-loop ({v}, {a.alphabet.symbols[lab]}) is not unrollable")
-    w = v + 1
-
-    def shift(x: int) -> int:
-        return x if x <= v else x + 1
-
-    edges = []
-    for x, y, lb in a.edges:
-        if (x, y, lb) == (v, v, lab):
-            edges.append((v, w, lab))
-        else:
-            edges.append((shift(x), shift(y), lb))
-        if x == v and (y, lb) != (v, lab):
-            # the copy replicates v's non-loop behaviour
-            edges.append((w, w if y == v else shift(y), lb))
-    edges.append((w, w, lab))
-
-    finals = {shift(f) for f in a.finals}
-    if v in a.finals:
-        finals.add(w)
-    return WheelerNfa(a.n + 1, a.alphabet, tuple(edges), frozenset(finals))
-
-
-def _addable_self_loops(a: WheelerNfa) -> list[tuple[int, int]]:
-    """(state, label) pairs where a new self-loop keeps the automaton a
-    Wheeler DFA and becomes unrollable afterwards."""
-    ex = compute_extrema(a)
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for u, v, lab in a.edges:
-        by_label.setdefault(lab, []).append((u, v))
-    found = []
-    for v in range(1, a.n + 1):
-        lab = ex.a_max[v]
-        if lab is None or lab in ex.out_sets[v]:
-            continue
-        ok = all(
-            (x <= v if t <= v else x >= v) for x, t in by_label.get(lab, ())
-        )
-        if ok:
-            found.append((v, lab))
-    return found
-
-
-def gen_equal_language_dfa_pair(
-    seed: int, n: int = 8, sigma: int = 3, unrolls: int = 2
-) -> tuple[WheelerNfa, WheelerNfa]:
-    """Two Wheeler DFAs with the same language but usually different shapes.
-
-    A random Wheeler DFA gains a couple of sound self-loops, then each side
-    unrolls independently chosen loops; when no loop qualifies a side stays
-    as drawn.  Deterministic per seed.
-    """
-    rng = random.Random(seed)
-    base = gen_random_wheeler(n, 2, sigma, rng.randrange(2**30), deterministic=True)
-    for _ in range(2):
-        spots = _addable_self_loops(base)
-        if not spots:
-            break
-        v, lab = spots[rng.randrange(len(spots))]
-        base = WheelerNfa(
-            base.n, base.alphabet, base.edges + ((v, v, lab),), base.finals
-        )
-
-    def expand(x: WheelerNfa) -> WheelerNfa:
-        for _ in range(rng.randint(0, unrolls)):
-            loops = unrollable_loops(x)
-            if not loops:
-                break
-            v, lab = loops[rng.randrange(len(loops))]
-            x = unroll_self_loop(x, v, lab)
-        return x
-
-    return expand(base), expand(base)
-

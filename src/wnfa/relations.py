@@ -259,13 +259,35 @@ def _first_nonconvex_interval(n: int, images: list[frozenset[int]]):
     return None
 
 
+def _all_intervals_convex(images: list[frozenset[int]]) -> bool:
+    """Does every interval of positions have a convex accumulated image?
+
+    One pass: that holds iff every per-position image is convex and each
+    non-empty image overlaps or touches the previous non-empty one, since a
+    union of intervals chained that way is an interval, and two nearest
+    non-empty images are together the image of the interval between them.
+    """
+    prev_lo = prev_hi = None
+    for image in images:
+        if not image:
+            continue
+        lo, hi = min(image), max(image)
+        if hi - lo + 1 != len(image):
+            return False
+        if prev_lo is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
+            return False
+        prev_lo, prev_hi = lo, hi
+    return True
+
+
 def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
     """Check that ``rel`` is a bisimulation that also respects both orders.
 
     On top of :func:`is_bisimulation`, every convex set of source states
     must map to a convex set of target states, and symmetrically for
     preimages.  Under position orders the convex sets are exactly the
-    intervals, so intervals are enumerated in (start, end) order and the
+    intervals.  A linear pass decides whether all of them are convex; only
+    when one is not are intervals enumerated in (start, end) order, and the
     first interval with a non-convex image is returned as the witness.
     """
     failure = is_bisimulation(a, a2, rel)
@@ -284,12 +306,11 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
     for j in range(1, a2.n + 1):
         back[j] = frozenset(back_tmp[j])
 
-    hit = _first_nonconvex_interval(a.n, fwd)
-    if hit is not None:
-        return CheckFailure("image-convexity", interval=hit[0], image=hit[1])
-    hit = _first_nonconvex_interval(a2.n, back)
-    if hit is not None:
-        return CheckFailure("preimage-convexity", interval=hit[0], image=hit[1])
+    sides = (("image-convexity", a.n, fwd), ("preimage-convexity", a2.n, back))
+    for rule, size, images in sides:
+        if not _all_intervals_convex(images):
+            interval, image = _first_nonconvex_interval(size, images)
+            return CheckFailure(rule, interval=interval, image=image)
     return None
 
 

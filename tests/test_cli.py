@@ -101,6 +101,17 @@ class TestMinimizeCommand:
         assert main(["minimize", write("bad.wnfa", serialize_wnfa(bad))]) == 1
         assert "Axiom2" in capsys.readouterr().err
 
+    def test_output_without_class_map(self, files, capsys):
+        write, tmp = files
+        g = gen_distinctness("abb")
+        path = write("g.wnfa", serialize_wnfa(g))
+        q = tmp / "q.wnfa"
+        assert main(["minimize", path, "-o", str(q)]) == 0
+        out = capsys.readouterr().out
+        assert q.read_text() == serialize_wnfa(minimize(g).quotient)
+        assert out == "class 1 1\nclass 2 2\nclass 3 3\nclass 4 3\nclass 5 4\n"
+        assert main(["equiv", path, str(q)]) == 0
+
     def test_already_minimal_output_round_trips(self, files, capsys):
         write, _ = files
         assert main(["minimize", write("c.wnfa", CHAIN3)]) == 0
@@ -204,7 +215,13 @@ class TestCheckRelationCommand:
         write, _ = files
         a = write("c.wnfa", CHAIN3)
         r = write("bad.rel", "relation 3\n")
-        assert main(["check-relation", a, a, r, "--standard"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["check-relation", a, a, r, "--standard"])
+        assert err.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            f"{r}: line 1, column 1: relation line takes: relation <n> <n'>\n",
+        )
 
     def test_size_mismatch_is_usage_error(self, files, capsys):
         write, _ = files
@@ -236,6 +253,43 @@ class TestCheckRelationCommand:
         )
 
 
+class TestUnreadableInput:
+    def exit_two(self, argv, capsys, path):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == "" and err_text.startswith(f"{path}: ")
+        return err_text
+
+    def test_missing_relation(self, files, capsys):
+        write, tmp = files
+        a = write("c.wnfa", CHAIN3)
+        r = str(tmp / "missing.rel")
+        text = self.exit_two(["check-relation", a, a, r, "--standard"], capsys, r)
+        assert "No such file" in text
+
+    def test_relation_is_a_directory(self, files, capsys):
+        write, tmp = files
+        a = write("c.wnfa", CHAIN3)
+        text = self.exit_two(["check-relation", a, a, str(tmp), "--wheeler"], capsys, tmp)
+        assert "Is a directory" in text
+
+    def test_automaton_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "x.wnfa"
+        path.write_bytes(b"alphabet a\nstates 1\nfinal 1\nedge 1 1 \xff\n")
+        text = self.exit_two(["validate", str(path)], capsys, path)
+        assert "can't decode byte 0xff" in text
+
+    def test_relation_not_utf8(self, files, capsys):
+        write, tmp = files
+        a = write("c.wnfa", CHAIN3)
+        r = tmp / "r.rel"
+        r.write_bytes(b"relation 3 3\npair 1 1\xff\n")
+        text = self.exit_two(["check-relation", a, a, str(r), "--standard"], capsys, r)
+        assert "can't decode byte 0xff" in text
+
+
 class TestGenCommand:
     def test_chain(self, capsys):
         assert main(["gen", "chain", "3"]) == 0
@@ -257,19 +311,6 @@ class TestGenCommand:
                 main(["gen", "random", "--n", "8", "--seed", "7", "-o", str(out)]) == 0
             )
         assert out1.read_text() == out2.read_text()
-
-
-class TestBenchCommand:
-    def test_empty_sizes_header_only(self, capsys):
-        assert main(["bench", "--sizes"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == ["states\tedges\tseconds\tenqueues"]
-
-    def test_small_run_reports_exponent(self, capsys):
-        assert main(["bench", "--sizes", "200", "400", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "growth exponent" in out
-        assert len(out.splitlines()) == 4
 
 
 class TestDevNamespace:

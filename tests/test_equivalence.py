@@ -11,7 +11,6 @@ from wnfa import (
     dfa_language_bisimulation,
     gen_chain,
     gen_distinctness,
-    gen_equal_language_dfa_pair,
     gen_random_wheeler,
     inverse,
     is_deterministic,
@@ -21,8 +20,6 @@ from wnfa import (
     order_respecting_iso,
     parse_wnfa,
     serialize_wnfa,
-    unroll_self_loop,
-    unrollable_loops,
     validate,
     wheeler_bisimilar,
 )
@@ -32,7 +29,12 @@ from wnfa.equivalence import (
     REASON_SIZE_MISMATCH,
 )
 
-from conftest import build
+from conftest import (
+    build,
+    gen_equal_language_dfa_pair,
+    unroll_self_loop,
+    unrollable_loops,
+)
 
 
 def staircase(base: WheelerNfa, copies: int) -> WheelerNfa:

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from wnfa import (
     BoundaryBits,
+    CheckFailure,
+    OrderedAlphabet,
     Partition,
     Relation,
+    WheelerNfa,
     compose,
     equivalence_from_bits,
     gen_chain,
@@ -26,6 +29,7 @@ from wnfa import (
     serialize_relation,
     union,
 )
+from wnfa.relations import _first_nonconvex_interval
 
 from conftest import build
 
@@ -238,6 +242,62 @@ class TestBisimulationChecker:
             rel = minimize(a).as_relation()
             roundtrip = compose(inverse(rel), rel)  # a -> quotient -> a
             assert is_wheeler_bisimulation(a, a, roundtrip) is None
+
+    def test_convexity_matches_the_interval_scan(self):
+        def scan(a, a2, rel):
+            # the definition: every interval, in (start, end) order
+            failure = is_bisimulation(a, a2, rel)
+            if failure is not None:
+                return failure
+            back = {(j, i) for i, j in rel.pairs}
+            for rule, size, pairs in (
+                ("image-convexity", a.n, rel.pairs),
+                ("preimage-convexity", a2.n, back),
+            ):
+                images = [frozenset(j for i, j in pairs if i == p) for p in range(size + 1)]
+                hit = _first_nonconvex_interval(size, images)
+                if hit is not None:
+                    return CheckFailure(rule, interval=hit[0], image=hit[1])
+            return None
+
+        # edgeless, non-accepting automata meet every bisimulation rule but
+        # the initial pair, so the relations reach the convexity checks
+        alphabet = OrderedAlphabet(("a",))
+        rng = random.Random(0xC0DE)
+        outcomes: dict = {}
+        for _ in range(20_000):
+            n, n2 = rng.randint(1, 7), rng.randint(1, 7)
+            a = WheelerNfa(n, alphabet, (), frozenset())
+            b = WheelerNfa(n2, alphabet, (), frozenset())
+            density = rng.random()
+            pairs = {
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(1, n2 + 1)
+                if rng.random() < density
+            }
+            if rng.random() < 0.9:
+                pairs.add((1, 1))
+            rel = Relation(n, n2, frozenset(pairs))
+            for x, y, r in ((a, b, rel), (b, a, inverse(rel))):
+                got = is_wheeler_bisimulation(x, y, r)
+                assert got == scan(x, y, r)
+                rule = got and got.rule
+                outcomes[rule] = outcomes.get(rule, 0) + 1
+        assert set(outcomes) == {None, "initial", "image-convexity", "preimage-convexity"}
+        assert min(outcomes.values()) >= 1000, outcomes
+
+    def test_passing_relation_skips_the_interval_scan(self, monkeypatch):
+        def scan(n, images):
+            raise AssertionError("the interval scan ran on a passing relation")
+
+        monkeypatch.setattr("wnfa.relations._first_nonconvex_interval", scan)
+        a = gen_random_wheeler(20_000, 2, 3, 5)
+        result = minimize(a)
+        rel = result.as_relation()
+        assert result.quotient.n < a.n
+        assert is_wheeler_bisimulation(a, result.quotient, rel) is None
+        assert is_wheeler_bisimulation(result.quotient, a, inverse(rel)) is None
 
 
 class TestStandardBisimulationBaseline:
