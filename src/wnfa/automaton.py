@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
+from operator import itemgetter
+from typing import NoReturn
 
 
 class ParseError(Exception):
@@ -104,7 +106,7 @@ class WheelerNfa:
                 raise ValueError(f"edge ({u}, {v}) out of range 1..{self.n}")
             if not (0 <= a < sigma):
                 raise ValueError(f"edge label rank {a} out of range")
-        edges.sort(key=lambda e: (e[0], e[2], e[1]))
+        edges.sort(key=itemgetter(0, 2, 1))
         for prev, cur in zip(edges, edges[1:]):
             if prev == cur:
                 u, v, a = cur
@@ -117,6 +119,18 @@ class WheelerNfa:
             if not (1 <= f <= self.n):
                 raise ValueError(f"final state {f} out of range 1..{self.n}")
         object.__setattr__(self, "finals", finals)
+
+    @classmethod
+    def _from_canonical(cls, n, alphabet, edges, finals) -> "WheelerNfa":
+        """Skip every check: only for fields already in their checked form.
+
+        ``edges`` must be a tuple of in-range, duplicate-free edges strictly
+        ascending in (source, label, target) order, and ``finals`` a frozenset
+        inside 1..n.  :func:`parse_wnfa` is the only caller.
+        """
+        a = object.__new__(cls)
+        a.__dict__.update(n=n, alphabet=alphabet, edges=edges, finals=finals)
+        return a
 
 
 class ViolationKind(enum.Enum):
@@ -211,6 +225,13 @@ def validate(a: WheelerNfa) -> ValidationReport:
     * a pair of edges whose targets are ordered but whose labels are not
       (Axiom 2);
     * a pair of equally labeled edges that cross (Axiom 3).
+
+    Axiom 2 is the non-strict form: for edges u -> v on a and u' -> v' on
+    a', a < a' implies v <= v'.  The J. ACM 2023 definition uses the strict
+    form (a < a' implies v < v'), under which every state has a single
+    in-label; here a state may be entered by several labels, which is why
+    :func:`~wnfa.minimize.compute_extrema` keeps both ``a_min`` and
+    ``a_max``.
 
     Both axiom checks scan edges sorted by (label, target, source); a
     violating pair exists iff one exists between order-adjacent entries of
@@ -315,28 +336,79 @@ def _check_range(what: str, i: int, size: int, lineno: int, line: str, k: int) -
         raise _error(f"{what} {i} out of range 1..{size}", lineno, line, k)
 
 
+def _reject_edge(lineno, line, toks, n, finals) -> NoReturn:
+    """Raise the error for an edge line the fast path refused.
+
+    Runs the full checks in their documented order, so the message, line and
+    column do not depend on which test the fast path failed first.
+    """
+    if finals is None:
+        raise _error("edge line before final line", lineno, line)
+    if len(toks) != 4:
+        raise _error("edge line takes: edge <src> <dst> <tok>", lineno, line)
+    # both indices parse before either is range-checked
+    src = _parse_int("state index", lineno, line, toks, 1)
+    dst = _parse_int("state index", lineno, line, toks, 2)
+    _check_range("state index", src, n, lineno, line, 1)
+    _check_range("state index", dst, n, lineno, line, 2)
+    raise _error(f"unknown symbol {toks[3]!r}", lineno, line, 3)
+
+
 def parse_wnfa(text: str) -> WheelerNfa:
     """Parse a ``.wnfa`` document into a :class:`WheelerNfa`.
 
     Raises :class:`ParseError` (with line and column) on syntax errors,
     unknown symbols, out-of-range state indices, duplicate edges, or a
     missing header.
+
+    An edge line after the final line with two in-range indices and a known
+    symbol costs one ``int()`` per index and one rank lookup; any other edge
+    line is rechecked in full to name its error.  While each edge is strictly
+    greater than the one before it in (source, label, target) order, as
+    :func:`serialize_wnfa` writes them, no duplicate can occur, so no
+    duplicate set is kept and the constructor's sort and checks are skipped.
+    The first edge out of that order starts the duplicate set from the edges
+    read so far, and the constructor then sorts as usual.
     """
     alphabet: OrderedAlphabet | None = None
+    rank: dict[str, int] = {}
     n: int | None = None
     finals: frozenset[int] | None = None
     edges: list[tuple[int, int, int]] = []
-    seen_edges: set[tuple[int, int, int]] = set()
+    seen_edges: set[tuple[int, int, int]] | None = None
+    # the last edge read, as a (source, label, target) key
+    last = (0, 0, 0)
 
     for lineno, line, toks in _lines(text):
         kw = toks[0]
-        if kw == "alphabet":
+        if kw == "edge":
+            try:
+                src, dst, lab = int(toks[1]), int(toks[2]), rank[toks[3]]
+                fast = finals is not None and len(toks) == 4 and 0 < src <= n and 0 < dst <= n
+            except (IndexError, ValueError, KeyError):
+                fast = False
+            if not fast:
+                _reject_edge(lineno, line, toks, n, finals)
+            e = (src, dst, lab)
+            if seen_edges is None:
+                key = (src, lab, dst)
+                if key > last:
+                    last = key
+                    edges.append(e)
+                    continue
+                seen_edges = set(edges)
+            if e in seen_edges:
+                raise _error(f"duplicate edge {src} {dst} {toks[3]}", lineno, line)
+            seen_edges.add(e)
+            edges.append(e)
+        elif kw == "alphabet":
             if alphabet is not None:
                 raise _error("repeated alphabet line", lineno, line)
             try:
                 alphabet = OrderedAlphabet(tuple(toks[1:]))
             except ValueError as exc:
                 raise _error(str(exc), lineno, line) from None
+            rank = alphabet.rank
         elif kw == "states":
             if alphabet is None:
                 raise _error("states line before alphabet line", lineno, line)
@@ -358,24 +430,6 @@ def parse_wnfa(text: str) -> WheelerNfa:
                 _check_range("state index", i, n, lineno, line, k)
                 acc.add(i)
             finals = frozenset(acc)
-        elif kw == "edge":
-            if finals is None:
-                raise _error("edge line before final line", lineno, line)
-            if len(toks) != 4:
-                raise _error("edge line takes: edge <src> <dst> <tok>", lineno, line)
-            # both indices parse before either is range-checked
-            src = _parse_int("state index", lineno, line, toks, 1)
-            dst = _parse_int("state index", lineno, line, toks, 2)
-            _check_range("state index", src, n, lineno, line, 1)
-            _check_range("state index", dst, n, lineno, line, 2)
-            lab = alphabet.rank.get(toks[3])
-            if lab is None:
-                raise _error(f"unknown symbol {toks[3]!r}", lineno, line, 3)
-            e = (src, dst, lab)
-            if e in seen_edges:
-                raise _error(f"duplicate edge {src} {dst} {toks[3]}", lineno, line)
-            seen_edges.add(e)
-            edges.append(e)
         elif kw == "initial":
             raise _error(
                 "unsupported 'initial' line: the initial state is always position 1",
@@ -388,6 +442,8 @@ def parse_wnfa(text: str) -> WheelerNfa:
     for value, name in ((alphabet, "alphabet"), (n, "states"), (finals, "final")):
         if value is None:
             raise ParseError(f"missing {name} line", len(text.splitlines()) + 1)
+    if seen_edges is None:
+        return WheelerNfa._from_canonical(n, alphabet, tuple(edges), finals)
     return WheelerNfa(n, alphabet, tuple(edges), finals)
 
 

@@ -28,7 +28,8 @@ from .relations import (
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # the raw bytes, so that stdin decodes as strictly as a file does
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -119,6 +120,9 @@ def cmd_gen(args) -> int:
         elif args.family == "distinctness":
             a = gen_distinctness(args.text)
         else:
+            for flag, value in (("--n", args.n), ("--epl", args.epl), ("--sigma", args.sigma)):
+                if value < 1:
+                    raise ValueError(f"{flag} must be >= 1, got {value}")
             a = gen_random_wheeler(
                 args.n, args.epl, args.sigma, args.seed, deterministic=args.deterministic
             )

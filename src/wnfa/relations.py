@@ -239,45 +239,30 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     return None
 
 
-def _first_nonconvex_interval(n: int, images: list[frozenset[int]]):
-    """First interval [i..j] (lexicographic) whose accumulated image is not convex.
+def _minimal_nonconvex_interval(images: list[frozenset[int]]):
+    """The first minimal interval of positions whose image is not convex.
 
-    ``images[p]`` is the per-position image set for position p (1-based,
-    index 0 unused).  Returns (interval, image) or None.
+    ``images[p]`` is the image of position p (index 0 unused).  Every
+    interval has a convex image iff every per-position image is convex and
+    each non-empty image overlaps or touches the previous non-empty one,
+    since a union of intervals chained that way is an interval, and two
+    nearest non-empty images are together the image of the interval between
+    them.  So one pass finds the failing interval with the smallest right
+    end, and it is minimal: either one position, or the span back to the
+    previous non-empty image.  Returns (interval, image), or None when
+    every interval's image is convex.
     """
-    for i in range(1, n + 1):
-        acc: set[int] = set()
-        lo = hi = None
-        for j in range(i, n + 1):
-            for x in images[j]:
-                if x not in acc:
-                    acc.add(x)
-                    lo = x if lo is None or x < lo else lo
-                    hi = x if hi is None or x > hi else hi
-            if acc and hi - lo + 1 != len(acc):
-                return (i, j), frozenset(acc)
-    return None
-
-
-def _all_intervals_convex(images: list[frozenset[int]]) -> bool:
-    """Does every interval of positions have a convex accumulated image?
-
-    One pass: that holds iff every per-position image is convex and each
-    non-empty image overlaps or touches the previous non-empty one, since a
-    union of intervals chained that way is an interval, and two nearest
-    non-empty images are together the image of the interval between them.
-    """
-    prev_lo = prev_hi = None
-    for image in images:
+    prev = prev_lo = prev_hi = None
+    for p, image in enumerate(images):
         if not image:
             continue
         lo, hi = min(image), max(image)
         if hi - lo + 1 != len(image):
-            return False
-        if prev_lo is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
-            return False
-        prev_lo, prev_hi = lo, hi
-    return True
+            return (p, p), image
+        if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
+            return (prev, p), images[prev] | image
+        prev, prev_lo, prev_hi = p, lo, hi
+    return None
 
 
 def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
@@ -286,9 +271,9 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
     On top of :func:`is_bisimulation`, every convex set of source states
     must map to a convex set of target states, and symmetrically for
     preimages.  Under position orders the convex sets are exactly the
-    intervals.  A linear pass decides whether all of them are convex; only
-    when one is not are intervals enumerated in (start, end) order, and the
-    first interval with a non-convex image is returned as the witness.
+    intervals.  One linear pass per side decides whether all of them are
+    convex and, when one is not, returns the first minimal interval with a
+    non-convex image as the witness.
     """
     failure = is_bisimulation(a, a2, rel)
     if failure is not None:
@@ -306,10 +291,10 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
     for j in range(1, a2.n + 1):
         back[j] = frozenset(back_tmp[j])
 
-    sides = (("image-convexity", a.n, fwd), ("preimage-convexity", a2.n, back))
-    for rule, size, images in sides:
-        if not _all_intervals_convex(images):
-            interval, image = _first_nonconvex_interval(size, images)
+    for rule, images in (("image-convexity", fwd), ("preimage-convexity", back)):
+        hit = _minimal_nonconvex_interval(images)
+        if hit is not None:
+            interval, image = hit
             return CheckFailure(rule, interval=interval, image=image)
     return None
 

@@ -6,6 +6,7 @@ from wnfa import (
     WheelerNfa,
     accepts,
     is_deterministic,
+    parse_wnfa,
     validate,
 )
 
@@ -107,6 +108,12 @@ class TestValidate:
             for u2, v2, lab2 in edges:
                 if lab == lab2 and v < v2:
                     assert u <= u2
+
+    def test_axiom2_is_the_non_strict_form(self):
+        # a < a' implies v <= v': one state may be entered by two labels,
+        # which the strict form (v < v') would reject
+        a = parse_wnfa("alphabet a b\nstates 2\nfinal 2\nedge 1 2 a\nedge 1 2 b\n")
+        assert validate(a).describe(a) == "ok"
 
     def test_report_describe_mentions_each_violation(self):
         a = build("ab", 3, [(1, 2, "b"), (1, 3, "a")], {3})

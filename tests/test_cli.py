@@ -54,8 +54,18 @@ class TestValidateCommand:
         assert err.value.code == 2
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(CHAIN3))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CHAIN3.encode())))
         assert main(["validate", "-"]) == 0
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        # the text layer a C locale gives stdin turns the byte into a surrogate
+        data = b"alphabet a\nstates 1\nfinal 1\nedge 1 1 \xff\n"
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "-"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("-: 'utf-8' codec can't decode byte 0xff")
 
 
 class TestMinimizeCommand:
@@ -302,6 +312,13 @@ class TestGenCommand:
         assert main(["gen", "distinctness", "cbdab"]) == 0
         a = parse_wnfa(capsys.readouterr().out)
         assert a.n == 7 and len(a.edges) == 10
+
+    @pytest.mark.parametrize("option", ["--n", "--epl", "--sigma"])
+    def test_random_rejects_values_below_one(self, option, capsys):
+        argv = ["gen", "random", "--n", "5", option, "0"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{option} must be >= 1, got 0\n")
 
     def test_random_deterministic_per_seed(self, files):
         write, tmp = files

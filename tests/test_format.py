@@ -1,6 +1,17 @@
+import random
+
 import pytest
 
-from wnfa import ParseError, gen_chain, gen_distinctness, parse_wnfa, serialize_wnfa, to_dot
+from wnfa import (
+    OrderedAlphabet,
+    ParseError,
+    WheelerNfa,
+    gen_chain,
+    gen_distinctness,
+    parse_wnfa,
+    serialize_wnfa,
+    to_dot,
+)
 
 from conftest import build
 
@@ -173,6 +184,102 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_wnfa(doc)
         assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+# 100 edges in canonical order on lines 4..103; each case appends lines
+# from 104 on, so the fast path has run before the case's own line.
+IN_ORDER = "alphabet a b\nstates 101\nfinal 101\n" + "".join(
+    f"edge {i} {i + 1} a\n" for i in range(1, 101)
+)
+
+# (appended lines, str(error), line, column)
+FAST_PATH_ERRORS = [
+    ("edge 100 101 a\n", "line 104, column 1: duplicate edge 100 101 a", 104, 1),
+    # the order breaks on line 104; line 105 repeats line 8, read before the break
+    ("edge 1 1 b\nedge 5 6 a\n", "line 105, column 1: duplicate edge 5 6 a", 105, 1),
+    ("edge 100 102 a\n", "line 104, column 10: state index 102 out of range 1..101", 104, 10),
+    ("edge 0 5 a\n", "line 104, column 6: state index 0 out of range 1..101", 104, 6),
+    ("edge 100 x a\n", "line 104, column 10: expected state index, got 'x'", 104, 10),
+    ("edge 100 1.5 a\n", "line 104, column 10: expected state index, got '1.5'", 104, 10),
+    ("edge 100 101 zz\n", "line 104, column 14: unknown symbol 'zz'", 104, 14),
+]
+
+
+def _constructed(doc):
+    """The automaton the public constructor builds from the lines of ``doc``."""
+    lines = [line.split() for line in doc.splitlines()]
+    alphabet = OrderedAlphabet(tuple(lines[0][1:]))
+    edges = [(int(u), int(v), alphabet.rank[tok]) for _, u, v, tok in lines[3:]]
+    finals = frozenset(int(i) for i in lines[2][1:])
+    return WheelerNfa(int(lines[1][1]), alphabet, tuple(edges), finals)
+
+
+class TestEdgeFastPath:
+    @pytest.mark.parametrize("tail, message, line, column", FAST_PATH_ERRORS)
+    def test_errors_after_in_order_edges(self, tail, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_wnfa(IN_ORDER + tail)
+        assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+    def test_indices_parse_as_int_does(self):
+        doc = IN_ORDER + "edge +100 1_0 b\nedge 0101 101 a\n"
+        a = parse_wnfa(doc)
+        assert a.edges[-2:] == ((100, 10, 1), (101, 101, 0))
+        assert a == _constructed(doc)
+
+    def test_matches_the_public_constructor(self):
+        # sorted or shuffled edges, some with a copy of one edge placed
+        # before, next to or after its twin
+        rng = random.Random(0xED6E)
+        modes = ("sorted", "shuffled", "dup-before", "dup-next", "dup-after")
+        seen = dict.fromkeys(modes, 0)
+
+        def index(i):
+            return rng.choice((str(i), str(i), f"+{i}", f"0{i}"))
+
+        for _ in range(6000):
+            sigma, n = rng.randint(1, 3), rng.randint(1, 6)
+            symbols = ("a", "b", "c")[:sigma]
+            universe = [
+                (u, v, k) for u in range(1, n + 1) for v in range(1, n + 1) for k in range(sigma)
+            ]
+            edges = rng.sample(universe, rng.randint(0, min(len(universe), 10)))
+            edges.sort(key=lambda e: (e[0], e[2], e[1]))
+            mode = rng.choice(modes)
+            if mode == "shuffled" or mode != "sorted" and rng.random() < 0.5:
+                rng.shuffle(edges)
+            dup = None
+            if mode.startswith("dup") and edges:
+                k = rng.randrange(len(edges))
+                at = {
+                    "dup-before": rng.randint(0, k),
+                    "dup-next": rng.choice((k, k + 1)),
+                    "dup-after": rng.randint(k + 1, len(edges)),
+                }[mode]
+                edges.insert(at, edges[k])
+                # the copy or its twin, whichever comes second, is the duplicate
+                dup = k + 1 if at <= k else at
+            seen[mode] += 1
+            finals = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            doc = (
+                f"alphabet {' '.join(symbols)}\nstates {n}\n"
+                + " ".join(["final"] + [str(i) for i in finals]) + "\n"
+                + "".join(f"edge {index(u)} {index(v)} {symbols[k]}\n" for u, v, k in edges)
+            )
+            if dup is None:
+                a = parse_wnfa(doc)
+                assert a == _constructed(doc) and hash(a) == hash(_constructed(doc))
+                assert type(a.edges) is tuple
+                continue
+            u, v, k = edges[dup]
+            with pytest.raises(ParseError) as err:
+                parse_wnfa(doc)
+            assert (str(err.value), err.value.line) == (
+                f"line {dup + 4}, column 1: duplicate edge {u} {v} {symbols[k]}", dup + 4
+            )
+            with pytest.raises(ValueError, match="duplicate edge"):
+                _constructed(doc)
+        assert min(seen.values()) >= 1000, seen
 
 
 def test_dot_export(sample_nfa):

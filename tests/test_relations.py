@@ -29,7 +29,6 @@ from wnfa import (
     serialize_relation,
     union,
 )
-from wnfa.relations import _first_nonconvex_interval
 
 from conftest import build
 
@@ -243,22 +242,17 @@ class TestBisimulationChecker:
             roundtrip = compose(inverse(rel), rel)  # a -> quotient -> a
             assert is_wheeler_bisimulation(a, a, roundtrip) is None
 
-    def test_convexity_matches_the_interval_scan(self):
-        def scan(a, a2, rel):
-            # the definition: every interval, in (start, end) order
-            failure = is_bisimulation(a, a2, rel)
-            if failure is not None:
-                return failure
-            back = {(j, i) for i, j in rel.pairs}
-            for rule, size, pairs in (
-                ("image-convexity", a.n, rel.pairs),
-                ("preimage-convexity", a2.n, back),
-            ):
-                images = [frozenset(j for i, j in pairs if i == p) for p in range(size + 1)]
-                hit = _first_nonconvex_interval(size, images)
-                if hit is not None:
-                    return CheckFailure(rule, interval=hit[0], image=hit[1])
-            return None
+    def test_convexity_witness_is_a_minimal_failing_interval(self):
+        def failing_intervals(images):
+            # the definition: every interval whose accumulated image is not convex
+            out = []
+            for i in range(1, len(images)):
+                acc: set[int] = set()
+                for j in range(i, len(images)):
+                    acc |= images[j]
+                    if not is_convex(acc):
+                        out.append((i, j))
+            return out
 
         # edgeless, non-accepting automata meet every bisimulation rule but
         # the initial pair, so the relations reach the convexity checks
@@ -281,17 +275,51 @@ class TestBisimulationChecker:
             rel = Relation(n, n2, frozenset(pairs))
             for x, y, r in ((a, b, rel), (b, a, inverse(rel))):
                 got = is_wheeler_bisimulation(x, y, r)
-                assert got == scan(x, y, r)
                 rule = got and got.rule
                 outcomes[rule] = outcomes.get(rule, 0) + 1
+                plain = is_bisimulation(x, y, r)
+                if plain is not None:
+                    assert got == plain
+                    continue
+                sides = []
+                for side, size, side_pairs in (
+                    ("image-convexity", x.n, r.pairs),
+                    ("preimage-convexity", y.n, {(j, i) for i, j in r.pairs}),
+                ):
+                    images = [set() for _ in range(size + 1)]
+                    for p, q in side_pairs:
+                        images[p].add(q)
+                    sides.append((side, images, failing_intervals(images)))
+                expected = next(((s, im, bad) for s, im, bad in sides if bad), None)
+                if expected is None:
+                    assert got is None
+                    continue
+                side, images, bad = expected
+                assert got.rule == side
+                i, j = got.interval
+                assert got.image == set().union(*images[i : j + 1])
+                assert not is_convex(got.image)
+                # minimal: every proper sub-interval has a convex image
+                assert all((s, t) == (i, j) or not i <= s <= t <= j for s, t in bad)
+                # first: no failing interval ends before it
+                assert j == min(t for _, t in bad)
         assert set(outcomes) == {None, "initial", "image-convexity", "preimage-convexity"}
         assert min(outcomes.values()) >= 1000, outcomes
 
-    def test_passing_relation_skips_the_interval_scan(self, monkeypatch):
-        def scan(n, images):
-            raise AssertionError("the interval scan ran on a passing relation")
+    def test_convexity_check_is_linear(self):
+        # identity plus (n, n - 2): only the last position's image fails, so
+        # a scan that restarts at every interval start does quadratic work
+        n = 20_000
+        edgeless = WheelerNfa(n, OrderedAlphabet(("a",)), (), frozenset())
+        rel = Relation(n, n, Relation.identity(n).pairs | {(n, n - 2)})
+        start = time.perf_counter()
+        failure = is_wheeler_bisimulation(edgeless, edgeless, rel)
+        elapsed = time.perf_counter() - start
+        assert failure == CheckFailure(
+            "image-convexity", interval=(n, n), image=frozenset({n - 2, n})
+        )
+        assert elapsed < 1.0, elapsed
 
-        monkeypatch.setattr("wnfa.relations._first_nonconvex_interval", scan)
         a = gen_random_wheeler(20_000, 2, 3, 5)
         result = minimize(a)
         rel = result.as_relation()
