@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 from operator import itemgetter
@@ -37,8 +36,48 @@ class ParseError(Exception):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class OrderedAlphabet:
+# Stores a record field past _Record.__setattr__.  Unlike a write to
+# ``self.__dict__``, it keeps the values inline in the instance: no dict is
+# allocated per record, and the garbage collector scans one object, not two.
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable value record over the fields named in ``_fields``.
+
+    Equality, hash and repr read the fields in ``_fields`` order: two records
+    are equal when they have the same class and equal fields, and the repr is
+    ``Name(field=value, ...)``.  Each subclass stores its fields with
+    :data:`_set` in its own ``__init__``; plain assignment and deletion raise
+    AttributeError.  Instances keep a ``__dict__``, so ``cached_property``
+    works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OrderedAlphabet(_Record):
     """A finite symbol set with a fixed total order.
 
     ``symbols[r]`` is the token of rank ``r``; comparing ranks compares
@@ -46,17 +85,18 @@ class OrderedAlphabet:
     which leaves room for generated symbol families such as ``#1 #2 ...``.
     """
 
-    symbols: tuple[str, ...]
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+    def __init__(self, symbols: tuple[str, ...]):
+        symbols = tuple(symbols)
         seen = set()
-        for tok in self.symbols:
+        for tok in symbols:
             if not isinstance(tok, str) or not tok or tok.split() != [tok]:
                 raise ValueError(f"bad symbol token {tok!r}")
             if tok in seen:
                 raise ValueError(f"duplicate symbol {tok!r}")
             seen.add(tok)
+        _set(self, "symbols", symbols)
 
     @cached_property
     def rank(self) -> dict[str, int]:
@@ -75,8 +115,7 @@ class OrderedAlphabet:
         return token in self.rank
 
 
-@dataclass(frozen=True)
-class WheelerNfa:
+class WheelerNfa(_Record):
     """An NFA whose states sit at positions 1..n of a claimed Wheeler order.
 
     Fields:
@@ -91,34 +130,37 @@ class WheelerNfa:
     reachability assumptions.
     """
 
-    n: int
-    alphabet: OrderedAlphabet
-    edges: tuple[tuple[int, int, int], ...]
-    finals: frozenset[int]
+    _fields = ("n", "alphabet", "edges", "finals")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self,
+        n: int,
+        alphabet: OrderedAlphabet,
+        edges: tuple[tuple[int, int, int], ...],
+        finals: frozenset[int],
+    ):
+        if n < 1:
             raise ValueError("state count must be >= 1")
-        sigma = len(self.alphabet)
-        edges = [tuple(e) for e in self.edges]
+        sigma = len(alphabet)
+        edges = [tuple(e) for e in edges]
         for u, v, a in edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range 1..{self.n}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
             if not (0 <= a < sigma):
                 raise ValueError(f"edge label rank {a} out of range")
         edges.sort(key=itemgetter(0, 2, 1))
         for prev, cur in zip(edges, edges[1:]):
             if prev == cur:
                 u, v, a = cur
-                raise ValueError(
-                    f"duplicate edge ({u}, {v}, {self.alphabet.symbols[a]!r})"
-                )
-        object.__setattr__(self, "edges", tuple(edges))
-        finals = frozenset(self.finals)
+                raise ValueError(f"duplicate edge ({u}, {v}, {alphabet.symbols[a]!r})")
+        finals = frozenset(finals)
         for f in finals:
-            if not (1 <= f <= self.n):
-                raise ValueError(f"final state {f} out of range 1..{self.n}")
-        object.__setattr__(self, "finals", finals)
+            if not (1 <= f <= n):
+                raise ValueError(f"final state {f} out of range 1..{n}")
+        _set(self, "n", n)
+        _set(self, "alphabet", alphabet)
+        _set(self, "edges", tuple(edges))
+        _set(self, "finals", finals)
 
     @classmethod
     def _from_canonical(cls, n, alphabet, edges, finals) -> "WheelerNfa":
@@ -140,12 +182,14 @@ class ViolationKind(enum.Enum):
     AXIOM3 = "Axiom3"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One validation problem: a kind plus the offending state or edge pair."""
 
-    kind: ViolationKind
-    witness: tuple
+    _fields = ("kind", "witness")
+
+    def __init__(self, kind: ViolationKind, witness: tuple):
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
 
     def describe(self, a: WheelerNfa) -> str:
         sym = a.alphabet.symbols
@@ -173,9 +217,13 @@ class Violation:
         return f"{k.value}: {self.witness}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(_Record):
+    """Every violation :func:`validate` found, in report order."""
+
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

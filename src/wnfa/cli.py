@@ -28,6 +28,9 @@ from .relations import (
 
 def _read(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:
+            # started with no stdin at all, e.g. under `<&-`
+            raise OSError("standard input is closed")
         # the raw bytes, so that stdin decodes as strictly as a file does
         return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:

@@ -12,10 +12,9 @@ states sharing a quotient state, so it can be quadratic in size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .automaton import WheelerNfa, _ranks_in, _successors, is_deterministic
+from .automaton import WheelerNfa, _Record, _ranks_in, _set, _successors, is_deterministic
 from .minimize import QuotientResult, minimize
 from .relations import Relation, compose, inverse
 
@@ -24,17 +23,24 @@ REASON_NOT_ISOMORPHIC = "NotIsomorphic"
 REASON_ISOMORPHIC = "Isomorphic"
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Record):
     """The answer of :func:`wheeler_bisimilar`, with ``reason`` naming why.
 
     ``results`` holds the two sides' minimization results when the answer
     is yes and None otherwise; :attr:`witness` is derived from them.
     """
 
-    bisimilar: bool
-    reason: str
-    results: tuple[QuotientResult, QuotientResult] | None = None
+    _fields = ("bisimilar", "reason", "results")
+
+    def __init__(
+        self,
+        bisimilar: bool,
+        reason: str,
+        results: tuple[QuotientResult, QuotientResult] | None = None,
+    ):
+        _set(self, "bisimilar", bisimilar)
+        _set(self, "reason", reason)
+        _set(self, "results", results)
 
     @cached_property
     def witness(self) -> Relation | None:

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import logging
 import random
 import string
 
 from .automaton import OrderedAlphabet, WheelerNfa, _co_reachable
-
-logger = logging.getLogger(__name__)
 
 
 def gen_chain(k: int) -> WheelerNfa:
@@ -85,13 +82,19 @@ def gen_random_wheeler(
     once and the result is a Wheeler DFA.
 
     Out-of-range parameters are clamped to feasible values and the clamping
-    is reported through the module logger.
+    is reported at INFO through the ``wnfa.generators`` logger.  ``logging``
+    is imported only when a value is clamped, so importing the package does
+    not load it.
     """
     rng = random.Random(seed)
 
     def clamp(value, low, name):
         if value < low:
-            logger.info("gen_random_wheeler: clamped %s from %r to %r", name, value, low)
+            import logging
+
+            logging.getLogger(__name__).info(
+                "gen_random_wheeler: clamped %s from %r to %r", name, value, low
+            )
             return low
         return value
 

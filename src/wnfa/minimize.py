@@ -19,9 +19,8 @@ argument and a testable invariant (at most n-1 enqueues per run).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from .automaton import WheelerNfa, is_deterministic
+from .automaton import WheelerNfa, _Record, _set, is_deterministic
 from .relations import BoundaryBits, Relation
 
 TRACE_SEED = "SEED"
@@ -30,8 +29,7 @@ TRACE_SET_JMIN = "SET-from-jmin"
 TRACE_SET_JMAX = "SET-from-jmax"
 
 
-@dataclass(frozen=True)
-class IncidenceExtrema:
+class IncidenceExtrema(_Record):
     """Per-state incoming-edge extremes and outgoing-label sets.
 
     For state i >= 2 (and for state 1 when it has in-edges): ``a_min[i]`` /
@@ -43,12 +41,23 @@ class IncidenceExtrema:
     Index 0 of every array is padding.
     """
 
-    a_min: tuple[int | None, ...]
-    j_min: tuple[int | None, ...]
-    a_max: tuple[int | None, ...]
-    j_max: tuple[int | None, ...]
-    out_sets: tuple[tuple[int, ...], ...]
-    z: tuple[bool, ...]
+    _fields = ("a_min", "j_min", "a_max", "j_max", "out_sets", "z")
+
+    def __init__(
+        self,
+        a_min: tuple[int | None, ...],
+        j_min: tuple[int | None, ...],
+        a_max: tuple[int | None, ...],
+        j_max: tuple[int | None, ...],
+        out_sets: tuple[tuple[int, ...], ...],
+        z: tuple[bool, ...],
+    ):
+        _set(self, "a_min", a_min)
+        _set(self, "j_min", j_min)
+        _set(self, "a_max", a_max)
+        _set(self, "j_max", j_max)
+        _set(self, "out_sets", out_sets)
+        _set(self, "z", z)
 
 
 def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
@@ -140,8 +149,7 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     return BoundaryBits(n, tuple(bits[2 : n + 1]))
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(_Record):
     """A quotient automaton plus the class map that produced it.
 
     ``class_map[p - 1]`` is the quotient position of input position p; it is
@@ -149,8 +157,11 @@ class QuotientResult:
     position intervals taken in order.
     """
 
-    quotient: WheelerNfa
-    class_map: tuple[int, ...]
+    _fields = ("quotient", "class_map")
+
+    def __init__(self, quotient: WheelerNfa, class_map: tuple[int, ...]):
+        _set(self, "quotient", quotient)
+        _set(self, "class_map", class_map)
 
     def as_relation(self) -> Relation:
         return Relation(

@@ -10,33 +10,34 @@ scanning in a fixed order so failures reproduce exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .automaton import (
     ParseError,
     WheelerNfa,
+    _Record,
     _check_range,
     _error,
     _lines,
     _parse_int,
     _ranks_in,
+    _set,
     _successors,
 )
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A finite relation between state positions 1..left_size and 1..right_size."""
 
-    left_size: int
-    right_size: int
-    pairs: frozenset[tuple[int, int]]
+    _fields = ("left_size", "right_size", "pairs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in self.pairs))
-        for i, j in self.pairs:
-            if not (1 <= i <= self.left_size) or not (1 <= j <= self.right_size):
+    def __init__(self, left_size: int, right_size: int, pairs: frozenset[tuple[int, int]]):
+        pairs = frozenset(tuple(p) for p in pairs)
+        for i, j in pairs:
+            if not (1 <= i <= left_size) or not (1 <= j <= right_size):
                 raise ValueError(f"pair ({i}, {j}) out of range")
+        _set(self, "left_size", left_size)
+        _set(self, "right_size", right_size)
+        _set(self, "pairs", pairs)
 
     @staticmethod
     def identity(n: int) -> "Relation":
@@ -86,27 +87,27 @@ def is_convex(positions) -> bool:
     return max(positions) - min(positions) + 1 == len(positions)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A partition of positions 1..n; classes need not be intervals.
 
     ``class_of[p - 1]`` is the class id of position p.  Ids are consecutive
     from 0, numbered by first occurrence.
     """
 
-    n: int
-    class_of: tuple[int, ...]
+    _fields = ("n", "class_of")
 
-    def __post_init__(self):
-        object.__setattr__(self, "class_of", tuple(self.class_of))
-        if len(self.class_of) != self.n:
+    def __init__(self, n: int, class_of: tuple[int, ...]):
+        class_of = tuple(class_of)
+        if len(class_of) != n:
             raise ValueError("class_of must assign every position")
         next_id = 0
-        for c in self.class_of:
+        for c in class_of:
             if c == next_id:
                 next_id += 1
             elif c not in range(next_id):
                 raise ValueError("class ids must be consecutive from 0 by first use")
+        _set(self, "n", n)
+        _set(self, "class_of", class_of)
 
     @property
     def num_classes(self) -> int:
@@ -125,21 +126,21 @@ class Partition:
         return Relation(self.n, self.n, frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class BoundaryBits:
+class BoundaryBits(_Record):
     """Class boundaries of a convex equivalence on positions 1..n.
 
     ``bit(i)`` (for 2 <= i <= n) is True when positions i-1 and i fall in
     different classes, so the classes are exactly the maximal 0-runs.
     """
 
-    n: int
-    bits: tuple[bool, ...]
+    _fields = ("n", "bits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
-        if len(self.bits) != max(self.n - 1, 0):
+    def __init__(self, n: int, bits: tuple[bool, ...]):
+        bits = tuple(bool(b) for b in bits)
+        if len(bits) != max(n - 1, 0):
             raise ValueError("bit array must cover boundaries 2..n")
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     def bit(self, i: int) -> bool:
         if not (2 <= i <= self.n):
@@ -172,8 +173,7 @@ def equivalence_from_bits(b: BoundaryBits) -> Partition:
     return Partition(b.n, tuple(class_of))
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(_Record):
     """First violation found by a bisimulation check.
 
     ``rule`` is one of forward, backward, initial, finality (the four parts
@@ -181,11 +181,21 @@ class CheckFailure:
     preimage-convexity (the two order-compatibility requirements).
     """
 
-    rule: str
-    pair: tuple[int, int] | None = None
-    edge: tuple[int, int, int] | None = None
-    interval: tuple[int, int] | None = None
-    image: frozenset[int] | None = None
+    _fields = ("rule", "pair", "edge", "interval", "image")
+
+    def __init__(
+        self,
+        rule: str,
+        pair: tuple[int, int] | None = None,
+        edge: tuple[int, int, int] | None = None,
+        interval: tuple[int, int] | None = None,
+        image: frozenset[int] | None = None,
+    ):
+        _set(self, "rule", rule)
+        _set(self, "pair", pair)
+        _set(self, "edge", edge)
+        _set(self, "interval", interval)
+        _set(self, "image", image)
 
     def describe(self) -> str:
         if self.rule in ("forward", "backward"):

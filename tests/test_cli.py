@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,14 @@ class TestValidateCommand:
             main(["validate", "-"])
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("-: 'utf-8' codec can't decode byte 0xff")
+
+    def test_stdin_closed(self, capsys, monkeypatch):
+        # a process started with stdin closed sees sys.stdin as None
+        monkeypatch.setattr("sys.stdin", None)
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "-"])
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", "-: standard input is closed\n")
 
 
 class TestMinimizeCommand:
@@ -369,3 +381,21 @@ class TestDevNamespace:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "class 2 2" and lines[2] == "class 3 2"
         assert lines[3] == "class 4 3" and lines[5] == "class 6 3"
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses_or_logging(self):
+        # a fresh interpreter: diffing sys.modules ignores whatever site imported
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import wnfa.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        added = set(out.split())
+        assert "wnfa.cli" in added
+        assert not added & {"dataclasses", "inspect", "logging"}
