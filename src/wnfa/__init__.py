@@ -1,8 +1,10 @@
 """Wheeler NFA toolkit.
 
 Validation of Wheeler orders, linear-time minimization via the maximum
-order-respecting autobisimulation, Wheeler-bisimilarity decisions, and the
-brute-force references used to cross-check all of it.
+order-respecting autobisimulation, Wheeler-bisimilarity decisions, and
+checkers for candidate bisimulation relations.  The brute-force references
+that cross-check them are in :mod:`wnfa.reference`, which importing this
+package does not load.
 """
 
 from .automaton import (
@@ -21,8 +23,6 @@ from .automaton import (
 )
 from .equivalence import (
     EquivalenceVerdict,
-    dfa_language_bisimulation,
-    language_sample_equal,
     order_respecting_iso,
     wheeler_bisimilar,
 )
@@ -39,19 +39,13 @@ from .minimize import (
 from .relations import (
     BoundaryBits,
     CheckFailure,
-    Partition,
     Relation,
     compose,
-    equivalence_from_bits,
     inverse,
     is_bisimulation,
-    is_convex,
     is_wheeler_bisimulation,
-    max_standard_autobisimulation,
-    oracle_max_wheeler_autobisimulation,
     parse_relation,
     serialize_relation,
-    union,
 )
 
 __all__ = [
@@ -71,18 +65,12 @@ __all__ = [
     "gen_distinctness",
     "gen_random_wheeler",
     "Relation",
-    "Partition",
     "BoundaryBits",
     "CheckFailure",
     "inverse",
     "compose",
-    "union",
-    "is_convex",
     "is_bisimulation",
     "is_wheeler_bisimulation",
-    "max_standard_autobisimulation",
-    "oracle_max_wheeler_autobisimulation",
-    "equivalence_from_bits",
     "parse_relation",
     "serialize_relation",
     "IncidenceExtrema",
@@ -95,6 +83,4 @@ __all__ = [
     "EquivalenceVerdict",
     "order_respecting_iso",
     "wheeler_bisimilar",
-    "dfa_language_bisimulation",
-    "language_sample_equal",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 for success or an affirmative answer,
 1 for a negative answer or reported violations, 2 for usage or parse
-errors (and, for equiv, invalid inputs).  Every path argument accepts
+errors (and, for equiv, invalid inputs), and for an input that cannot be
+read or an output that cannot be written.  Every path argument accepts
 ``-`` for the standard streams.
 """
 
@@ -16,11 +17,8 @@ from .equivalence import wheeler_bisimilar
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
 from .minimize import format_trace, minimize
 from .relations import (
-    equivalence_from_bits,
     is_bisimulation,
     is_wheeler_bisimulation,
-    max_standard_autobisimulation,
-    oracle_max_wheeler_autobisimulation,
     parse_relation,
     serialize_relation,
 )
@@ -38,11 +36,19 @@ def _read(path: str) -> str:
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    """Write ``text`` to ``path``, stdout when None or ``-``; any failure exits 2."""
+    try:
+        if path is None or path == "-":
+            if sys.stdout is None:
+                # started with no stdout at all, e.g. under `>&-`
+                raise OSError("standard output is closed")
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"{'-' if path is None else path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _load(path: str, parse=parse_wnfa):
@@ -137,6 +143,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dev_oracle(args) -> int:
+    from .reference import oracle_max_wheeler_autobisimulation
+
     a = _load(args.input)
     try:
         bits = oracle_max_wheeler_autobisimulation(a, cap=args.cap)
@@ -144,13 +152,14 @@ def cmd_dev_oracle(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print("bits " + " ".join("1" if b else "0" for b in bits.bits))
-    part = equivalence_from_bits(bits)
-    for p, c in enumerate(part.class_of, 1):
-        print(f"class {p} {c + 1}")
+    for p, c in enumerate(bits.class_map, 1):
+        print(f"class {p} {c}")
     return 0
 
 
 def cmd_dev_std_bisim(args) -> int:
+    from .reference import max_standard_autobisimulation
+
     a = _load(args.input)
     part = max_standard_autobisimulation(a)
     for p, c in enumerate(part.class_of, 1):

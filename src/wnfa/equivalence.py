@@ -1,4 +1,4 @@
-"""Deciding Wheeler-bisimilarity and comparing languages.
+"""Deciding Wheeler-bisimilarity.
 
 Two Wheeler NFAs admit a Wheeler bisimulation between them iff their
 minimized forms are isomorphic, and because both sides carry a total order
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .automaton import WheelerNfa, _Record, _ranks_in, _set, _successors, is_deterministic
+from .automaton import WheelerNfa, _Record, _ranks_in, _set
 from .minimize import QuotientResult, minimize
 from .relations import Relation, compose, inverse
 
@@ -88,65 +88,3 @@ def wheeler_bisimilar(a: WheelerNfa, a2: WheelerNfa) -> EquivalenceVerdict:
     if not order_respecting_iso(r1.quotient, r2.quotient):
         return EquivalenceVerdict(False, REASON_NOT_ISOMORPHIC)
     return EquivalenceVerdict(True, REASON_ISOMORPHIC, (r1, r2))
-
-
-def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
-    """Relate states of two Wheeler DFAs reached by a common input string.
-
-    Product reachability from (1, 1) following equal tokens.  When the two
-    DFAs recognize the same language, the result is a Wheeler bisimulation;
-    callers confirm by running it through the checker, and a check failure
-    is the signal that the languages differ.
-    """
-    for side in (a, a2):
-        if not is_deterministic(side):
-            raise ValueError("dfa_language_bisimulation needs deterministic inputs")
-
-    succ1 = _successors(a)
-    succ2 = _successors(a2)
-    to2 = _ranks_in(a, a2)
-    seen = {(1, 1)}
-    stack = [(1, 1)]
-    while stack:
-        u, u2 = stack.pop()
-        for lab, (v,) in succ1[u].items():
-            for v2 in succ2[u2].get(to2[lab], ()):
-                if (v, v2) not in seen:
-                    seen.add((v, v2))
-                    stack.append((v, v2))
-    return Relation(a.n, a2.n, frozenset(seen))
-
-
-def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
-    """Do the two automata accept exactly the same words up to ``max_len``?
-
-    Breadth-first walk of the word tree carrying the reachable state subset
-    of each automaton; a branch is pruned once both subsets are empty (the
-    word then leads nowhere in either language) and repeated subset pairs
-    are not re-expanded.
-    """
-    tokens = sorted(set(a.alphabet.symbols) | set(a2.alphabet.symbols))
-    # each token's rank on either side; None where that side lacks it
-    ranks = [(a.alphabet.rank.get(tok), a2.alphabet.rank.get(tok)) for tok in tokens]
-    succ1 = _successors(a)
-    succ2 = _successors(a2)
-
-    start = (frozenset({1}), frozenset({1}))
-    frontier = [start]
-    visited = {start}
-    for _ in range(max_len + 1):
-        next_frontier = []
-        for s1, s2 in frontier:
-            if any(u in a.finals for u in s1) != any(u in a2.finals for u in s2):
-                return False
-            for r1, r2 in ranks:
-                t1 = frozenset(v for u in s1 for v in succ1[u].get(r1, ()))
-                t2 = frozenset(v for u in s2 for v in succ2[u].get(r2, ()))
-                if not t1 and not t2:
-                    continue
-                node = (t1, t2)
-                if node not in visited:
-                    visited.add(node)
-                    next_frontier.append(node)
-        frontier = next_frontier
-    return True

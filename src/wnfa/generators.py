@@ -21,11 +21,12 @@ def gen_chain(k: int) -> WheelerNfa:
     return WheelerNfa(k, alphabet, tuple(edges), frozenset({1, k}))
 
 
-def gen_distinctness(text, base=None) -> WheelerNfa:
+def gen_distinctness(text) -> WheelerNfa:
     """The (n+2)-state Wheeler DFA encoding a symbol sequence ``text``.
 
-    Fresh symbols ``#1 .. #n`` are prepended to the base alphabet, ordered
-    before every base symbol.  State 1 fans out to state 1+i on ``#i``, and
+    The base alphabet is the distinct symbols of ``text``, sorted.  Fresh
+    symbols ``#1 .. #n`` are prepended to it, ordered before every base
+    symbol.  State 1 fans out to state 1+i on ``#i``, and
     state 1+i reads ``text[i]`` into the single final state n+2.  Two states
     1+i and 1+j can only ever be merged when text[i] == text[j].
     """
@@ -33,16 +34,8 @@ def gen_distinctness(text, base=None) -> WheelerNfa:
     n = len(letters)
     if n == 0:
         raise ValueError("text must be non-empty")
-    if base is None:
-        base_symbols = tuple(sorted(set(letters)))
-    elif isinstance(base, OrderedAlphabet):
-        base_symbols = base.symbols
-    else:
-        base_symbols = tuple(base)
+    base_symbols = tuple(sorted(set(letters)))
     alphabet = OrderedAlphabet(tuple(f"#{i}" for i in range(1, n + 1)) + base_symbols)
-    for tok in letters:
-        if tok not in alphabet:
-            raise ValueError(f"symbol {tok!r} not in the base alphabet")
     edges = []
     for i, tok in enumerate(letters, 1):
         edges.append((1, 1 + i, alphabet.rank_of(f"#{i}")))

@@ -186,20 +186,15 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     if bits.n != n:
         raise ValueError(f"bit array covers {bits.n} states, automaton has {n}")
 
-    class_map = [0] * (n + 1)
-    cls = 1
-    for p in range(1, n + 1):
-        if p > 1 and bits.bit(p):
-            cls += 1
-        class_map[p] = cls
-    m = cls
+    class_map = bits.class_map
+    at = (0,) + class_map  # indexed by position
 
-    edges = dict.fromkeys((class_map[u], class_map[v], lb) for u, v, lb in a.edges)
-    finals = frozenset(class_map[f] for f in a.finals)
-    q = WheelerNfa(m, a.alphabet, tuple(edges), finals)
+    edges = dict.fromkeys((at[u], at[v], lb) for u, v, lb in a.edges)
+    finals = frozenset(at[f] for f in a.finals)
+    q = WheelerNfa(class_map[-1], a.alphabet, tuple(edges), finals)
     if is_deterministic(a) and not is_deterministic(q):
         raise ValueError("quotient of a deterministic automaton went non-deterministic")
-    return QuotientResult(q, tuple(class_map[1:]))
+    return QuotientResult(q, class_map)
 
 
 def minimize(a: WheelerNfa, trace: list | None = None) -> QuotientResult:

@@ -1,15 +1,15 @@
-"""Relation algebra, bisimulation checkers, and brute-force references.
+"""Relation algebra, boundary-bit arrays, bisimulation checkers, ``.rel`` I/O.
 
-Everything here is written for clarity over speed: these are the arbiters
-that the linear-time pipeline in :mod:`wnfa.minimize` is tested against, so
-they stick to the definitions.  The checkers return ``None`` for a passing
+The checkers stick to the definitions: they judge the relations users
+hand to ``check-relation``, and the brute-force references in
+:mod:`wnfa.reference` build on them.  They return ``None`` for a passing
 relation and a :class:`CheckFailure` carrying the first witness otherwise,
 scanning in a fixed order so failures reproduce exactly.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import accumulate
 
 from .automaton import (
     ParseError,
@@ -43,14 +43,6 @@ class Relation(_Record):
     def identity(n: int) -> "Relation":
         return Relation(n, n, frozenset((i, i) for i in range(1, n + 1)))
 
-    def image(self, positions) -> frozenset[int]:
-        positions = set(positions)
-        return frozenset(j for i, j in self.pairs if i in positions)
-
-    def preimage(self, positions) -> frozenset[int]:
-        positions = set(positions)
-        return frozenset(i for i, j in self.pairs if j in positions)
-
 
 def inverse(r: Relation) -> Relation:
     return Relation(r.right_size, r.left_size, frozenset((j, i) for i, j in r.pairs))
@@ -71,59 +63,6 @@ def compose(outer: Relation, inner: Relation) -> Relation:
         step.setdefault(j, []).append(k)
     pairs = {(i, k) for i, j in inner.pairs for k in step.get(j, ())}
     return Relation(inner.left_size, outer.right_size, frozenset(pairs))
-
-
-def union(r1: Relation, r2: Relation) -> Relation:
-    if (r1.left_size, r1.right_size) != (r2.left_size, r2.right_size):
-        raise ValueError("size mismatch")
-    return Relation(r1.left_size, r1.right_size, r1.pairs | r2.pairs)
-
-
-def is_convex(positions) -> bool:
-    """True iff the position set is a contiguous interval (or empty)."""
-    positions = set(positions)
-    if not positions:
-        return True
-    return max(positions) - min(positions) + 1 == len(positions)
-
-
-class Partition(_Record):
-    """A partition of positions 1..n; classes need not be intervals.
-
-    ``class_of[p - 1]`` is the class id of position p.  Ids are consecutive
-    from 0, numbered by first occurrence.
-    """
-
-    _fields = ("n", "class_of")
-
-    def __init__(self, n: int, class_of: tuple[int, ...]):
-        class_of = tuple(class_of)
-        if len(class_of) != n:
-            raise ValueError("class_of must assign every position")
-        next_id = 0
-        for c in class_of:
-            if c == next_id:
-                next_id += 1
-            elif c not in range(next_id):
-                raise ValueError("class ids must be consecutive from 0 by first use")
-        _set(self, "n", n)
-        _set(self, "class_of", class_of)
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of) + 1 if self.class_of else 0
-
-    def classes(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.num_classes)]
-        for p, c in enumerate(self.class_of, 1):
-            out[c].append(p)
-        return [tuple(members) for members in out]
-
-    def to_relation(self) -> Relation:
-        pairs = set()
-        for members in self.classes():
-            pairs.update(itertools.product(members, members))
-        return Relation(self.n, self.n, frozenset(pairs))
 
 
 class BoundaryBits(_Record):
@@ -151,26 +90,14 @@ class BoundaryBits(_Record):
     def num_classes(self) -> int:
         return 1 + sum(self.bits)
 
-    def class_intervals(self) -> list[tuple[int, int]]:
-        out = []
-        start = 1
-        for i in range(2, self.n + 1):
-            if self.bit(i):
-                out.append((start, i - 1))
-                start = i
-        out.append((start, self.n))
-        return out
+    @property
+    def class_map(self) -> tuple[int, ...]:
+        """``class_map[p - 1]`` is the class of position p, numbered from 1.
 
-
-def equivalence_from_bits(b: BoundaryBits) -> Partition:
-    """Read the bit array as a partition: a 0 bit joins adjacent positions."""
-    class_of = []
-    cls = 0
-    for p in range(1, b.n + 1):
-        if p > 1 and b.bit(p):
-            cls += 1
-        class_of.append(cls)
-    return Partition(b.n, tuple(class_of))
+        Each 1 bit starts a new class, so the map is monotone
+        non-decreasing and onto 1..num_classes.
+        """
+        return tuple(accumulate(self.bits, initial=1))
 
 
 class CheckFailure(_Record):
@@ -249,7 +176,7 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     return None
 
 
-def _minimal_nonconvex_interval(images: list[frozenset[int]]):
+def _minimal_nonconvex_interval(images: list[set[int]]):
     """The first minimal interval of positions whose image is not convex.
 
     ``images[p]`` is the image of position p (index 0 unused).  Every
@@ -259,8 +186,9 @@ def _minimal_nonconvex_interval(images: list[frozenset[int]]):
     nearest non-empty images are together the image of the interval between
     them.  So one pass finds the failing interval with the smallest right
     end, and it is minimal: either one position, or the span back to the
-    previous non-empty image.  Returns (interval, image), or None when
-    every interval's image is convex.
+    previous non-empty image.  Returns (interval, image), the image as a
+    frozenset because :class:`CheckFailure` hashes it, or None when every
+    interval's image is convex.
     """
     prev = prev_lo = prev_hi = None
     for p, image in enumerate(images):
@@ -268,9 +196,9 @@ def _minimal_nonconvex_interval(images: list[frozenset[int]]):
             continue
         lo, hi = min(image), max(image)
         if hi - lo + 1 != len(image):
-            return (p, p), image
+            return (p, p), frozenset(image)
         if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
-            return (prev, p), images[prev] | image
+            return (prev, p), frozenset(images[prev] | image)
         prev, prev_lo, prev_hi = p, lo, hi
     return None
 
@@ -289,17 +217,11 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
     if failure is not None:
         return failure
 
-    fwd: list[frozenset[int]] = [frozenset()] * (a.n + 1)
-    back: list[frozenset[int]] = [frozenset()] * (a2.n + 1)
-    fwd_tmp: list[set[int]] = [set() for _ in range(a.n + 1)]
-    back_tmp: list[set[int]] = [set() for _ in range(a2.n + 1)]
+    fwd: list[set[int]] = [set() for _ in range(a.n + 1)]
+    back: list[set[int]] = [set() for _ in range(a2.n + 1)]
     for i, j in rel.pairs:
-        fwd_tmp[i].add(j)
-        back_tmp[j].add(i)
-    for i in range(1, a.n + 1):
-        fwd[i] = frozenset(fwd_tmp[i])
-    for j in range(1, a2.n + 1):
-        back[j] = frozenset(back_tmp[j])
+        fwd[i].add(j)
+        back[j].add(i)
 
     for rule, images in (("image-convexity", fwd), ("preimage-convexity", back)):
         hit = _minimal_nonconvex_interval(images)
@@ -307,91 +229,6 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
             interval, image = hit
             return CheckFailure(rule, interval=interval, image=image)
     return None
-
-
-def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
-    """Coarsest partition whose class relation is a bisimulation from a to a.
-
-    Plain signature refinement: start from the final/non-final split and
-    split any class containing two states that disagree on the set of
-    (label, successor-class) pairs, until a fixpoint.  O(n |E|) worst case,
-    which is fine for a desk-scale baseline.
-    """
-    succ = _successors(a)
-
-    def renumber(keys: list) -> list[int]:
-        ids: dict = {}
-        out = []
-        for key in keys:
-            if key not in ids:
-                ids[key] = len(ids)
-            out.append(ids[key])
-        return out
-
-    class_of = renumber([p in a.finals for p in range(1, a.n + 1)])
-    while True:
-        signature = []
-        for p in range(1, a.n + 1):
-            sig = frozenset(
-                (lab, class_of[v - 1]) for lab, targets in succ[p].items() for v in targets
-            )
-            signature.append((class_of[p - 1], sig))
-        new_class_of = renumber(signature)
-        if new_class_of == class_of:
-            return Partition(a.n, tuple(class_of))
-        class_of = new_class_of
-
-
-def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> BoundaryBits:
-    """Maximum order-respecting autobisimulation, by exhaustive search.
-
-    Every candidate is a boundary-bit array over 2..n, i.e. a convex
-    equivalence on positions; the maximum is known to have that shape.
-    Each candidate's class relation is run through the full
-    :func:`is_wheeler_bisimulation` definition, and the bitwise AND of all
-    passing arrays (= union of the passing equivalences, which is again a
-    passing equivalence) is returned and re-verified.
-
-    Two exact prunings keep the enumeration tractable:
-
-    * a candidate merging adjacent states that differ in acceptance or in
-      outgoing-label set would fail the bisimulation definition outright,
-      so only boundaries where both agree are allowed to carry a 0;
-    * candidates are visited coarsest-first and skipped when all their
-      merges are already present in the accumulated union, since they can
-      no longer change the result either way.
-    """
-    n = a.n
-    if n > cap:
-        raise ValueError(f"oracle input has {n} states, above the cap of {cap}")
-    if n == 1:
-        return BoundaryBits(1, ())
-
-    out_labels = [frozenset()] * (n + 1)
-    succ = _successors(a)
-    for p in range(1, n + 1):
-        out_labels[p] = frozenset(succ[p])
-    mergeable = [
-        i
-        for i in range(2, n + 1)
-        if (i - 1 in a.finals) == (i in a.finals) and out_labels[i - 1] == out_labels[i]
-    ]
-
-    accumulated: set[int] = set()
-    for size in range(len(mergeable), 0, -1):
-        for combo in itertools.combinations(mergeable, size):
-            zeros = set(combo)
-            if zeros <= accumulated:
-                continue
-            bits = BoundaryBits(n, tuple(i not in zeros for i in range(2, n + 1)))
-            rel = equivalence_from_bits(bits).to_relation()
-            if is_wheeler_bisimulation(a, a, rel) is None:
-                accumulated |= zeros
-
-    result = BoundaryBits(n, tuple(i not in accumulated for i in range(2, n + 1)))
-    check = is_wheeler_bisimulation(a, a, equivalence_from_bits(result).to_relation())
-    assert check is None, f"union of passing equivalences failed the checker: {check}"
-    return result
 
 
 # --------------------------------------------------------------------------

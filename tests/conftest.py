@@ -4,13 +4,15 @@ import random
 import pytest
 
 from wnfa import (
+    BoundaryBits,
     OrderedAlphabet,
     Relation,
     WheelerNfa,
     compute_extrema,
     gen_random_wheeler,
+    is_deterministic,
 )
-from wnfa.automaton import _successors
+from wnfa.automaton import _ranks_in, _successors
 
 
 def build(symbols, n, edges, finals) -> WheelerNfa:
@@ -164,10 +166,125 @@ def words_up_to(symbols, max_len):
 
 
 # --------------------------------------------------------------------------
-# Equal-language Wheeler DFA pairs, via self-loop unrolling.
+# Relation helpers and language comparisons used only by the tests.
 # --------------------------------------------------------------------------
 
 
+def image(rel: Relation, positions) -> frozenset[int]:
+    positions = set(positions)
+    return frozenset(j for i, j in rel.pairs if i in positions)
+
+
+def preimage(rel: Relation, positions) -> frozenset[int]:
+    positions = set(positions)
+    return frozenset(i for i, j in rel.pairs if j in positions)
+
+
+def union(r1: Relation, r2: Relation) -> Relation:
+    if (r1.left_size, r1.right_size) != (r2.left_size, r2.right_size):
+        raise ValueError("size mismatch")
+    return Relation(r1.left_size, r1.right_size, r1.pairs | r2.pairs)
+
+
+def is_convex(positions) -> bool:
+    """True iff the position set is a contiguous interval (or empty)."""
+    positions = set(positions)
+    if not positions:
+        return True
+    return max(positions) - min(positions) + 1 == len(positions)
+
+
+def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
+    """Relate states of two Wheeler DFAs reached by a common input string.
+
+    Product reachability from (1, 1) following equal tokens.  When the two
+    DFAs recognize the same language, the result is a Wheeler bisimulation;
+    callers confirm by running it through the checker, and a check failure
+    is the signal that the languages differ.
+    """
+    for side in (a, a2):
+        if not is_deterministic(side):
+            raise ValueError("dfa_language_bisimulation needs deterministic inputs")
+
+    succ1 = _successors(a)
+    succ2 = _successors(a2)
+    to2 = _ranks_in(a, a2)
+    seen = {(1, 1)}
+    stack = [(1, 1)]
+    while stack:
+        u, u2 = stack.pop()
+        for lab, (v,) in succ1[u].items():
+            for v2 in succ2[u2].get(to2[lab], ()):
+                if (v, v2) not in seen:
+                    seen.add((v, v2))
+                    stack.append((v, v2))
+    return Relation(a.n, a2.n, frozenset(seen))
+
+
+def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
+    """Do the two automata accept exactly the same words up to ``max_len``?
+
+    Breadth-first walk of the word tree carrying the reachable state subset
+    of each automaton; a branch is pruned once both subsets are empty (the
+    word then leads nowhere in either language) and repeated subset pairs
+    are not re-expanded.
+    """
+    tokens = sorted(set(a.alphabet.symbols) | set(a2.alphabet.symbols))
+    # each token's rank on either side; None where that side lacks it
+    ranks = [(a.alphabet.rank.get(tok), a2.alphabet.rank.get(tok)) for tok in tokens]
+    succ1 = _successors(a)
+    succ2 = _successors(a2)
+
+    start = (frozenset({1}), frozenset({1}))
+    frontier = [start]
+    visited = {start}
+    for _ in range(max_len + 1):
+        next_frontier = []
+        for s1, s2 in frontier:
+            if any(u in a.finals for u in s1) != any(u in a2.finals for u in s2):
+                return False
+            for r1, r2 in ranks:
+                t1 = frozenset(v for u in s1 for v in succ1[u].get(r1, ()))
+                t2 = frozenset(v for u in s2 for v in succ2[u].get(r2, ()))
+                if not t1 and not t2:
+                    continue
+                node = (t1, t2)
+                if node not in visited:
+                    visited.add(node)
+                    next_frontier.append(node)
+        frontier = next_frontier
+    return True
+
+
+def convex_signature_refinement(a: WheelerNfa) -> BoundaryBits:
+    """Maximum order-respecting autobisimulation by polynomial refinement.
+
+    Cut every boundary where finality or the out-label sets differ, then cut
+    boundary i whenever states i-1 and i have different sets of (label,
+    successor class) pairs, until nothing changes.  Each round is
+    O(n + |E|), and every round but the last cuts a boundary, so there are
+    at most n rounds.
+    """
+    succ = _successors(a)
+    bits = [
+        ((i - 1) in a.finals) != (i in a.finals) or succ[i - 1].keys() != succ[i].keys()
+        for i in range(2, a.n + 1)
+    ]
+    while True:
+        at = (0,) + BoundaryBits(a.n, bits).class_map
+        sig = [None] + [
+            {(lab, at[v]) for lab, targets in succ[p].items() for v in targets}
+            for p in range(1, a.n + 1)
+        ]
+        cut = [b or sig[i - 1] != sig[i] for i, b in enumerate(bits, 2)]
+        if cut == bits:
+            return BoundaryBits(a.n, bits)
+        bits = cut
+
+
+# --------------------------------------------------------------------------
+# Equal-language Wheeler DFA pairs, via self-loop unrolling.
+# --------------------------------------------------------------------------
 
 
 def unrollable_loops(a: WheelerNfa) -> list[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import subprocess
@@ -312,6 +313,41 @@ class TestUnreadableInput:
         assert "can't decode byte 0xff" in text
 
 
+class TestUnwritableOutput:
+    def test_stdout_closed(self):
+        # a process started with stdout closed sees sys.stdout as None
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        launch = (
+            "import os, sys\n"
+            "os.close(1)\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'wnfa.cli', 'gen', 'chain', '3'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launch],
+            env=dict(os.environ, PYTHONPATH=src),
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, "-: standard output is closed\n")
+
+    def test_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nope" / "c.wnfa"
+        with pytest.raises(SystemExit) as err:
+            main(["gen", "chain", "3", "-o", str(out)])
+        assert err.value.code == 2
+        message = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{out}'"
+        assert capsys.readouterr() == ("", f"{out}: {message}\n")
+
+    def test_onto_a_directory(self, files, capsys):
+        write, tmp = files
+        path = write("c.wnfa", CHAIN3)
+        with pytest.raises(SystemExit) as err:
+            main(["minimize", path, "-o", str(tmp)])
+        assert err.value.code == 2
+        message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp}'"
+        assert capsys.readouterr() == ("", f"{tmp}: {message}\n")
+
+
 class TestGenCommand:
     def test_chain(self, capsys):
         assert main(["gen", "chain", "3"]) == 0
@@ -398,4 +434,4 @@ class TestStartup:
         ).stdout
         added = set(out.split())
         assert "wnfa.cli" in added
-        assert not added & {"dataclasses", "inspect", "logging"}
+        assert not added & {"dataclasses", "inspect", "logging", "wnfa.reference"}

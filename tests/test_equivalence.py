@@ -8,14 +8,12 @@ from wnfa import (
     Relation,
     WheelerNfa,
     compose,
-    dfa_language_bisimulation,
     gen_chain,
     gen_distinctness,
     gen_random_wheeler,
     inverse,
     is_deterministic,
     is_wheeler_bisimulation,
-    language_sample_equal,
     minimize,
     order_respecting_iso,
     parse_wnfa,
@@ -31,7 +29,9 @@ from wnfa.equivalence import (
 
 from conftest import (
     build,
+    dfa_language_bisimulation,
     gen_equal_language_dfa_pair,
+    language_sample_equal,
     unroll_self_loop,
     unrollable_loops,
 )

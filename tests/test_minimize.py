@@ -7,7 +7,6 @@ from wnfa import (
     accepts,
     boundary_bits,
     compute_extrema,
-    equivalence_from_bits,
     format_trace,
     gen_chain,
     gen_distinctness,
@@ -15,13 +14,13 @@ from wnfa import (
     is_deterministic,
     is_wheeler_bisimulation,
     minimize,
-    oracle_max_wheeler_autobisimulation,
     quotient,
     validate,
 )
+from wnfa.reference import equivalence_from_bits, oracle_max_wheeler_autobisimulation
 from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX
 
-from conftest import build, words_up_to
+from conftest import build, convex_signature_refinement, words_up_to
 
 
 class TestComputeExtrema:
@@ -134,6 +133,34 @@ class TestBoundaryBits:
     def test_matches_oracle_on_fixtures(self, sample_nfa, two_level_tree):
         for a in (sample_nfa, two_level_tree, gen_chain(4), gen_distinctness("abb")):
             assert boundary_bits(a) == oracle_max_wheeler_autobisimulation(a)
+
+    def test_refinement_reference_matches_oracle(self):
+        # the polynomial reference is itself checked where the oracle reaches
+        rng = random.Random(33)
+        merged = 0
+        for k in range(300):
+            a = gen_random_wheeler(
+                rng.randint(1, 14), 2, rng.randint(1, 3), rng.randrange(2**30),
+                deterministic=k % 2 == 0,
+            )
+            ref = convex_signature_refinement(a)
+            assert ref == oracle_max_wheeler_autobisimulation(a)
+            assert boundary_bits(a) == ref
+            merged += ref.num_classes < a.n
+        assert merged >= 50, merged
+
+    def test_matches_refinement_reference_beyond_the_oracle(self):
+        rng = random.Random(34)
+        merged = 0
+        for k in range(30):
+            a = gen_random_wheeler(
+                rng.randint(50, 2000), 2, rng.randint(1, 4), rng.randrange(2**30),
+                deterministic=k % 2 == 0,
+            )
+            ref = convex_signature_refinement(a)
+            assert boundary_bits(a) == ref
+            merged += ref.num_classes < a.n
+        assert merged >= 15, merged
 
     def test_enqueue_budget(self):
         rng = random.Random(31)

@@ -12,7 +12,6 @@ from wnfa import (
     EquivalenceVerdict,
     IncidenceExtrema,
     OrderedAlphabet,
-    Partition,
     QuotientResult,
     Relation,
     ValidationReport,
@@ -21,6 +20,7 @@ from wnfa import (
     WheelerNfa,
     wheeler_bisimilar,
 )
+from wnfa.reference import Partition
 
 
 def nfa(final=2):
