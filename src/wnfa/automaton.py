@@ -236,7 +236,7 @@ class ValidationReport(_Record):
 
 
 def _successors(a: WheelerNfa) -> list[dict[int, list[int]]]:
-    """Per-state map label-rank -> target list (index 0 unused)."""
+    """Per-state map label-rank -> target list (index 0 unused), both ascending."""
     out: list[dict[int, list[int]]] = [dict() for _ in range(a.n + 1)]
     for u, v, lab in a.edges:
         out[u].setdefault(lab, []).append(v)
@@ -322,19 +322,13 @@ def is_deterministic(a: WheelerNfa) -> bool:
     return all(p[0] != c[0] or p[2] != c[2] for p, c in pairwise(a.edges))
 
 
-def _word_tokens(word) -> list[str]:
-    # A str is a sequence of one-character tokens; anything else is an
-    # iterable of tokens (needed for multi-character symbols like "#3").
-    return list(word)
-
-
 def accepts(a: WheelerNfa, word) -> bool:
     """Decide word membership by tracking the reachable state subset.
 
     ``word`` is a string (one token per character) or an iterable of tokens.
     Raises ValueError on tokens outside the alphabet.
     """
-    ranks = [a.alphabet.rank_of(tok) for tok in _word_tokens(word)]
+    ranks = [a.alphabet.rank_of(tok) for tok in word]
     succ = _successors(a)
     current = {1}
     for r in ranks:

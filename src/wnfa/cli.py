@@ -3,13 +3,17 @@
 Exit codes are a stable contract: 0 for success or an affirmative answer,
 1 for a negative answer or reported violations, 2 for usage or parse
 errors (and, for equiv, invalid inputs), and for an input that cannot be
-read or an output that cannot be written.  Every path argument accepts
-``-`` for the standard streams.
+read or an output that cannot be written.  Every answer is written through
+:func:`_write`, so an answer that cannot reach standard output, because it
+is closed or its reader has gone, exits 2 as well.  Every path argument
+accepts ``-`` for the standard streams; ``print`` here writes only to
+standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .automaton import ParseError, parse_wnfa, serialize_wnfa, to_dot, validate
@@ -37,18 +41,28 @@ def _read(path: str) -> str:
 
 def _write(path: str | None, text: str) -> None:
     """Write ``text`` to ``path``, stdout when None or ``-``; any failure exits 2."""
+    to_stdout = path is None or path == "-"
     try:
-        if path is None or path == "-":
+        if to_stdout:
             if sys.stdout is None:
                 # started with no stdout at all, e.g. under `>&-`
                 raise OSError("standard output is closed")
             sys.stdout.write(text)
+            sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         print(f"{'-' if path is None else path}: {exc}", file=sys.stderr)
+        if to_stdout and sys.stdout is not None:
+            # what stdout still buffers would fail again at exit: send it to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SystemExit(2) from None
+
+
+def _class_lines(class_map) -> str:
+    """One ``class <in> <out>`` line per input position, numbered from 1."""
+    return "".join(f"class {p} {c}\n" for p, c in enumerate(class_map, 1))
 
 
 def _load(path: str, parse=parse_wnfa):
@@ -63,7 +77,7 @@ def _load(path: str, parse=parse_wnfa):
 def cmd_validate(args) -> int:
     a = _load(args.input)
     report = validate(a)
-    print(report.describe(a))
+    _write(None, report.describe(a) + "\n")
     return 0 if report.ok else 1
 
 
@@ -75,12 +89,8 @@ def cmd_minimize(args) -> int:
         return 1
     trace: list | None = [] if args.trace else None
     result = minimize(a, trace)
-    out = serialize_wnfa(result.quotient)
-    class_lines = "".join(
-        f"class {p} {c}\n" for p, c in enumerate(result.class_map, 1)
-    )
-    _write(args.output, out)
-    _write(args.class_map, class_lines)
+    _write(args.output, serialize_wnfa(result.quotient))
+    _write(args.class_map, _class_lines(result.class_map))
     if args.trace:
         _write(args.trace, format_trace(trace))
     if args.dot:
@@ -97,7 +107,7 @@ def cmd_equiv(args) -> int:
             print(f"{path}:\n{report.describe(x)}", file=sys.stderr)
             return 2
     verdict = wheeler_bisimilar(a, b)
-    print(verdict.reason)
+    _write(None, verdict.reason + "\n")
     if verdict.bisimilar:
         if args.witness:
             _write(args.witness, serialize_relation(verdict.witness))
@@ -116,9 +126,9 @@ def cmd_check_relation(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if failure is None:
-        print("ok")
+        _write(None, "ok\n")
         return 0
-    print(failure.describe())
+    _write(None, failure.describe() + "\n")
     return 1
 
 
@@ -151,9 +161,8 @@ def cmd_dev_oracle(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print("bits " + " ".join("1" if b else "0" for b in bits.bits))
-    for p, c in enumerate(bits.class_map, 1):
-        print(f"class {p} {c}")
+    flags = " ".join("1" if b else "0" for b in bits.bits)
+    _write(None, f"bits {flags}\n" + _class_lines(bits.class_map))
     return 0
 
 
@@ -162,8 +171,7 @@ def cmd_dev_std_bisim(args) -> int:
 
     a = _load(args.input)
     part = max_standard_autobisimulation(a)
-    for p, c in enumerate(part.class_of, 1):
-        print(f"class {p} {c + 1}")
+    _write(None, _class_lines(c + 1 for c in part.class_of))
     return 0
 
 

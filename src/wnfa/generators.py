@@ -74,26 +74,14 @@ def gen_random_wheeler(
     With ``deterministic=True`` each (source, label) pair is used at most
     once and the result is a Wheeler DFA.
 
-    Out-of-range parameters are clamped to feasible values and the clamping
-    is reported at INFO through the ``wnfa.generators`` logger.  ``logging``
-    is imported only when a value is clamped, so importing the package does
-    not load it.
+    Raises ValueError when ``n``, ``edges_per_label_target`` or ``sigma``
+    is below 1.
     """
+    epl = edges_per_label_target
+    for name, value in (("n", n), ("edges_per_label_target", epl), ("sigma", sigma)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = random.Random(seed)
-
-    def clamp(value, low, name):
-        if value < low:
-            import logging
-
-            logging.getLogger(__name__).info(
-                "gen_random_wheeler: clamped %s from %r to %r", name, value, low
-            )
-            return low
-        return value
-
-    n = clamp(n, 1, "n")
-    sigma = clamp(sigma, 1, "sigma")
-    epl = clamp(edges_per_label_target, 1, "edges_per_label_target")
 
     alphabet = OrderedAlphabet(_symbol_pool(sigma))
     if n == 1:

@@ -75,8 +75,10 @@ class BoundaryBits(_Record):
     _fields = ("n", "bits")
 
     def __init__(self, n: int, bits: tuple[bool, ...]):
+        if n < 1:
+            raise ValueError("state count must be >= 1")
         bits = tuple(bool(b) for b in bits)
-        if len(bits) != max(n - 1, 0):
+        if len(bits) != n - 1:
             raise ValueError("bit array must cover boundaries 2..n")
         _set(self, "n", n)
         _set(self, "bits", bits)
@@ -146,9 +148,9 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
 
     Returns None when ``rel`` is a bisimulation from ``a`` to ``a2``; else
     the first failure in a deterministic scan (pairs sorted, each state's
-    edges sorted by label then target).  Edges match by token, so the two
-    alphabets may rank their tokens differently; a failure names the label
-    by its rank in its own automaton.
+    edges in canonical label-then-target order).  Edges match by token, so
+    the two alphabets may rank their tokens differently; a failure names the
+    label by its rank in its own automaton.
     """
     if (rel.left_size, rel.right_size) != (a.n, a2.n):
         raise ValueError("relation size does not match the automata")
@@ -159,13 +161,13 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     pairs = sorted(rel.pairs)
 
     for u, u2 in pairs:
-        for lab in sorted(succ1[u]):
-            for v in sorted(succ1[u][lab]):
+        for lab, targets in succ1[u].items():
+            for v in targets:
                 if not any((v, v2) in rel.pairs for v2 in succ2[u2].get(to2[lab], ())):
                     return CheckFailure("forward", pair=(u, u2), edge=(u, v, lab))
     for u, u2 in pairs:
-        for lab in sorted(succ2[u2]):
-            for v2 in sorted(succ2[u2][lab]):
+        for lab, targets in succ2[u2].items():
+            for v2 in targets:
                 if not any((v, v2) in rel.pairs for v in succ1[u].get(to1[lab], ())):
                     return CheckFailure("backward", pair=(u, u2), edge=(u2, v2, lab))
     if (1, 1) not in rel.pairs:

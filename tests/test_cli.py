@@ -31,6 +31,8 @@ def files(tmp_path):
 
 
 CHAIN3 = "alphabet a\nstates 3\nfinal 1 3\nedge 1 1 a\nedge 1 2 a\nedge 2 3 a\n"
+IDENTITY3 = "relation 3 3\npair 1 1\npair 2 2\npair 3 3\n"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestValidateCommand:
@@ -313,22 +315,67 @@ class TestUnreadableInput:
         assert "can't decode byte 0xff" in text
 
 
+def exit_with_stdout_closed(argv):
+    """Run the CLI with stdout closed; a process started so sees sys.stdout as None."""
+    launch = (
+        "import os, sys\n"
+        "os.close(1)\n"
+        f"os.execv(sys.executable, [sys.executable, '-m', 'wnfa.cli', *{argv!r}])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launch],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    return proc.returncode, proc.stderr
+
+
 class TestUnwritableOutput:
     def test_stdout_closed(self):
-        # a process started with stdout closed sees sys.stdout as None
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        launch = (
-            "import os, sys\n"
-            "os.close(1)\n"
-            "os.execv(sys.executable, [sys.executable, '-m', 'wnfa.cli', 'gen', 'chain', '3'])\n"
+        assert exit_with_stdout_closed(["gen", "chain", "3"]) == (
+            2, "-: standard output is closed\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", launch],
-            env=dict(os.environ, PYTHONPATH=src),
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        assert (proc.returncode, proc.stderr) == (2, "-: standard output is closed\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{a}"],
+            ["equiv", "{a}", "{a}"],
+            ["check-relation", "{a}", "{a}", "{r}", "--wheeler"],
+            ["--dev", "oracle", "{a}"],
+            ["--dev", "std-bisim", "{a}"],
+        ],
+        ids=["validate", "equiv", "check-relation", "dev-oracle", "dev-std-bisim"],
+    )
+    def test_every_answer_with_stdout_closed(self, files, argv):
+        write, _ = files
+        paths = dict(a=write("c.wnfa", CHAIN3), r=write("r.rel", IDENTITY3))
+        argv = [arg.format(**paths) for arg in argv]
+        assert exit_with_stdout_closed(argv) == (2, "-: standard output is closed\n")
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_reader_gone(self, files, buffering):
+        # the read end of the pipe is closed before the answer is written
+        write, _ = files
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wnfa.cli", "validate", write("c.wnfa", CHAIN3)],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        message = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+        assert (proc.returncode, proc.stderr) == (2, f"-: {message}\n")
 
     def test_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "nope" / "c.wnfa"
@@ -428,7 +475,7 @@ class TestStartup:
             "import wnfa.cli\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(os.environ, PYTHONPATH=SRC)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout

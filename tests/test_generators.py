@@ -1,4 +1,3 @@
-import logging
 import random
 
 import pytest
@@ -121,8 +120,10 @@ class TestRandom:
                 hits += 1
         assert hits > 0
 
-    def test_clamping_is_reported(self, caplog):
-        with caplog.at_level(logging.INFO, logger="wnfa.generators"):
-            a = gen_random_wheeler(0, 0, 0, seed=1)
-        assert a.n == 1
-        assert any("clamped" in rec.message for rec in caplog.records)
+    @pytest.mark.parametrize("name", ["n", "edges_per_label_target", "sigma"])
+    def test_rejects_values_below_one(self, name):
+        params = dict(n=5, edges_per_label_target=2, sigma=3, seed=1)
+        params[name] = 0
+        with pytest.raises(ValueError) as err:
+            gen_random_wheeler(**params)
+        assert str(err.value) == f"{name} must be >= 1, got 0"

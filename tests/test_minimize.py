@@ -17,7 +17,11 @@ from wnfa import (
     quotient,
     validate,
 )
-from wnfa.reference import equivalence_from_bits, oracle_max_wheeler_autobisimulation
+from wnfa.reference import (
+    equivalence_from_bits,
+    max_standard_autobisimulation,
+    oracle_max_wheeler_autobisimulation,
+)
 from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX
 
 from conftest import build, convex_signature_refinement, words_up_to
@@ -161,6 +165,23 @@ class TestBoundaryBits:
             assert boundary_bits(a) == ref
             merged += ref.num_classes < a.n
         assert merged >= 15, merged
+
+    def test_dfa_cuts_between_adjacent_nerode_classes(self):
+        # on a Wheeler DFA, boundary i is cut exactly when states i-1 and i
+        # are not standard-bisimilar, a reference that shares no code with
+        # the order-respecting one
+        rng = random.Random(35)
+        merged = 0
+        for _ in range(500):
+            a = gen_random_wheeler(
+                rng.randint(2, 300), 2, rng.randint(1, 4), rng.randrange(2**30),
+                deterministic=True,
+            )
+            cls = max_standard_autobisimulation(a).class_of
+            bits = tuple(cls[i - 2] != cls[i - 1] for i in range(2, a.n + 1))
+            assert boundary_bits(a).bits == bits
+            merged += not all(bits)
+        assert merged >= 50, merged
 
     def test_enqueue_budget(self):
         rng = random.Random(31)

@@ -232,6 +232,7 @@ class TestConstruction:
             (lambda: Partition(2, (1, 0)), "class ids must be consecutive from 0 by first use"),
             (lambda: BoundaryBits(3, (True,)), "bit array must cover boundaries 2..n"),
             (lambda: BoundaryBits(1, (True,)), "bit array must cover boundaries 2..n"),
+            (lambda: BoundaryBits(0, ()), "state count must be >= 1"),
         ],
     )
     def test_checks_keep_type_and_text(self, make, message):
