@@ -303,7 +303,7 @@ def validate(a: WheelerNfa) -> ValidationReport:
     # Axiom 2 reduces to "targets never decrease across a label boundary" and
     # Axiom 3 to "sources never decrease when the target strictly increases
     # inside one block".
-    ordered = sorted(a.edges, key=lambda e: (e[2], e[1], e[0]))
+    ordered = sorted(a.edges, key=itemgetter(2, 1, 0))
     for e1, e2 in zip(ordered, ordered[1:]):
         u1, v1, a1 = e1
         u2, v2, a2 = e2
@@ -408,9 +408,9 @@ def parse_wnfa(text: str) -> WheelerNfa:
     line is rechecked in full to name its error.  While each edge is strictly
     greater than the one before it in (source, label, target) order, as
     :func:`serialize_wnfa` writes them, no duplicate can occur, so no
-    duplicate set is kept and the constructor's sort and checks are skipped.
-    The first edge out of that order starts the duplicate set from the edges
-    read so far, and the constructor then sorts as usual.
+    duplicate set is kept and no sort is needed.  The first edge out of that
+    order starts the duplicate set from the edges read so far, and the edges
+    are sorted once at the end; the constructor's checks are never rerun.
     """
     alphabet: OrderedAlphabet | None = None
     rank: dict[str, int] = {}
@@ -484,9 +484,9 @@ def parse_wnfa(text: str) -> WheelerNfa:
     for value, name in ((alphabet, "alphabet"), (n, "states"), (finals, "final")):
         if value is None:
             raise ParseError(f"missing {name} line", len(text.splitlines()) + 1)
-    if seen_edges is None:
-        return WheelerNfa._from_canonical(n, alphabet, tuple(edges), finals)
-    return WheelerNfa(n, alphabet, tuple(edges), finals)
+    if seen_edges is not None:
+        edges.sort(key=itemgetter(0, 2, 1))
+    return WheelerNfa._from_canonical(n, alphabet, tuple(edges), finals)
 
 
 def serialize_wnfa(a: WheelerNfa) -> str:

@@ -5,9 +5,9 @@ Exit codes are a stable contract: 0 for success or an affirmative answer,
 errors (and, for equiv, invalid inputs), and for an input that cannot be
 read or an output that cannot be written.  Every answer is written through
 :func:`_write`, so an answer that cannot reach standard output, because it
-is closed or its reader has gone, exits 2 as well.  Every path argument
-accepts ``-`` for the standard streams; ``print`` here writes only to
-standard error.
+is closed or its reader has gone, exits 2 as well.  :func:`_fail` drops a
+diagnostic that cannot reach standard error, without changing the exit
+code.  Every path argument accepts ``-`` for the standard streams.
 """
 
 from __future__ import annotations
@@ -53,11 +53,19 @@ def _write(path: str | None, text: str) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
-        print(f"{'-' if path is None else path}: {exc}", file=sys.stderr)
         if to_stdout and sys.stdout is not None:
             # what stdout still buffers would fail again at exit: send it to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(2) from None
+        raise SystemExit(_fail(f"{'-' if path is None else path}: {exc}")) from None
+
+
+def _fail(message: str, code: int = 2) -> int:
+    """Write ``message`` to stderr and return ``code``; a failing stderr drops it."""
+    try:
+        sys.stderr.write(message + "\n")
+    except OSError:
+        pass
+    return code
 
 
 def _class_lines(class_map) -> str:
@@ -70,8 +78,7 @@ def _load(path: str, parse=parse_wnfa):
     try:
         return parse(_read(path))
     except (ParseError, OSError, UnicodeDecodeError) as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise SystemExit(_fail(f"{path}: {exc}")) from None
 
 
 def cmd_validate(args) -> int:
@@ -85,8 +92,7 @@ def cmd_minimize(args) -> int:
     a = _load(args.input)
     report = validate(a)
     if not report.ok:
-        print(report.describe(a), file=sys.stderr)
-        return 1
+        return _fail(report.describe(a), 1)
     trace: list | None = [] if args.trace else None
     result = minimize(a, trace)
     _write(args.output, serialize_wnfa(result.quotient))
@@ -104,8 +110,7 @@ def cmd_equiv(args) -> int:
     for path, x in ((args.a, a), (args.b, b)):
         report = validate(x)
         if not report.ok:
-            print(f"{path}:\n{report.describe(x)}", file=sys.stderr)
-            return 2
+            return _fail(f"{path}:\n{report.describe(x)}")
     verdict = wheeler_bisimilar(a, b)
     _write(None, verdict.reason + "\n")
     if verdict.bisimilar:
@@ -123,13 +128,9 @@ def cmd_check_relation(args) -> int:
     try:
         failure = check(a, b, rel)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if failure is None:
-        _write(None, "ok\n")
-        return 0
-    _write(None, failure.describe() + "\n")
-    return 1
+        return _fail(str(exc))
+    _write(None, "ok\n" if failure is None else failure.describe() + "\n")
+    return 0 if failure is None else 1
 
 
 def cmd_gen(args) -> int:
@@ -146,8 +147,7 @@ def cmd_gen(args) -> int:
                 args.n, args.epl, args.sigma, args.seed, deterministic=args.deterministic
             )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     _write(args.output, serialize_wnfa(a))
     return 0
 
@@ -159,8 +159,7 @@ def cmd_dev_oracle(args) -> int:
     try:
         bits = oracle_max_wheeler_autobisimulation(a, cap=args.cap)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        return _fail(str(exc))
     flags = " ".join("1" if b else "0" for b in bits.bits)
     _write(None, f"bits {flags}\n" + _class_lines(bits.class_map))
     return 0
@@ -245,6 +244,9 @@ def _build_dev_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stderr is None:
+        # started with no stderr, e.g. under `2>&-`; argparse would print usage to stdout
+        sys.stderr = open(os.devnull, "w")
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "--dev":
         args = _build_dev_parser().parse_args(argv[1:])

@@ -18,8 +18,6 @@ argument and a testable invariant (at most n-1 enqueues per run).
 
 from __future__ import annotations
 
-from collections import deque
-
 from .automaton import WheelerNfa, _Record, _set, is_deterministic
 from .relations import BoundaryBits, Relation
 
@@ -120,7 +118,7 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     n = a.n
     ex = compute_extrema(a)
     bits = [False] * (n + 1)
-    queue: deque[int] = deque()
+    queue: list[int] = []
 
     def record(event: str, index: int):
         if trace is not None:
@@ -132,8 +130,8 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
             bits[i] = True
             record(TRACE_SEED, i)
 
-    while queue:
-        i = queue.popleft()
+    # appended while iterated: each boundary is enqueued once, in FIFO order
+    for i in queue:
         record(TRACE_DEQUEUE, i)
         jm = ex.j_min[i]
         if jm is not None and jm >= 2 and not bits[jm]:

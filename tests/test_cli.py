@@ -315,26 +315,31 @@ class TestUnreadableInput:
         assert "can't decode byte 0xff" in text
 
 
-def exit_with_stdout_closed(argv):
-    """Run the CLI with stdout closed; a process started so sees sys.stdout as None."""
+def exit_with_closed(argv, fds, stderr=subprocess.PIPE):
+    """Run the CLI with ``fds`` closed; a process started so sees those streams as None.
+
+    Returns the exit code, stdout and stderr (None unless ``stderr`` is a pipe).
+    """
     launch = (
         "import os, sys\n"
-        "os.close(1)\n"
+        f"for fd in {tuple(fds)!r}:\n"
+        "    os.close(fd)\n"
         f"os.execv(sys.executable, [sys.executable, '-m', 'wnfa.cli', *{argv!r}])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", launch],
         env=dict(os.environ, PYTHONPATH=SRC),
-        stderr=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=stderr,
         text=True,
     )
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestUnwritableOutput:
     def test_stdout_closed(self):
-        assert exit_with_stdout_closed(["gen", "chain", "3"]) == (
-            2, "-: standard output is closed\n"
+        assert exit_with_closed(["gen", "chain", "3"], [1]) == (
+            2, "", "-: standard output is closed\n"
         )
 
     @pytest.mark.parametrize(
@@ -352,7 +357,7 @@ class TestUnwritableOutput:
         write, _ = files
         paths = dict(a=write("c.wnfa", CHAIN3), r=write("r.rel", IDENTITY3))
         argv = [arg.format(**paths) for arg in argv]
-        assert exit_with_stdout_closed(argv) == (2, "-: standard output is closed\n")
+        assert exit_with_closed(argv, [1]) == (2, "", "-: standard output is closed\n")
 
     @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
     def test_reader_gone(self, files, buffering):
@@ -393,6 +398,53 @@ class TestUnwritableOutput:
         assert err.value.code == 2
         message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp}'"
         assert capsys.readouterr() == ("", f"{tmp}: {message}\n")
+
+
+# an input whose state 3 is neither reachable nor co-reachable
+UNREACHABLE = "alphabet a\nstates 3\nfinal 2\nedge 1 2 a\n"
+FULL = "/dev/full"
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} on this platform")
+class TestUnwritableDiagnostics:
+    """A diagnostic that cannot reach stderr is dropped: stdout and the exit code stay."""
+
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gen", "chain", "3", "-o", "{missing}"], 2),
+            (["validate", "{missing}"], 2),
+            (["minimize", "{u}"], 1),
+            (["equiv", "{u}", "{u}"], 2),
+            (["check-relation", "{a}", "{a}", "{r}", "--standard"], 2),
+            (["gen", "chain", "2"], 2),
+            (["--dev", "oracle", "{a}", "--cap", "2"], 2),
+            (["gen", "chain", "x"], 2),
+        ],
+        ids=["write", "load", "minimize", "equiv", "check-relation", "gen", "dev-oracle", "usage"],
+    )
+    def test_exit_code_and_stdout_unchanged(self, files, argv, code, stderr):
+        write, tmp = files
+        paths = dict(
+            missing=str(tmp / "nope" / "x"),
+            u=write("u.wnfa", UNREACHABLE),
+            a=write("c.wnfa", CHAIN3),
+            r=write("r.rel", "relation 2 2\npair 1 1\n"),
+        )
+        argv = [arg.format(**paths) for arg in argv]
+        working = exit_with_closed(argv, [])
+        assert working[0] == code and working[1] == "" and working[2]
+        if stderr == "closed":
+            lost = exit_with_closed(argv, [2])
+        else:
+            with open(FULL, "w") as full:
+                lost = exit_with_closed(argv, [], stderr=full)
+        assert lost[:2] == working[:2]
+
+    def test_stdout_closed_and_stderr_full(self):
+        with open(FULL, "w") as full:
+            assert exit_with_closed(["gen", "chain", "3"], [1], stderr=full) == (2, "", None)
 
 
 class TestGenCommand:
