@@ -168,7 +168,7 @@ class WheelerNfa(_Record):
 
         ``edges`` must be a tuple of in-range, duplicate-free edges strictly
         ascending in (source, label, target) order, and ``finals`` a frozenset
-        inside 1..n.  :func:`parse_wnfa` is the only caller.
+        inside 1..n.  Callers: :func:`parse_wnfa` and :func:`~wnfa.minimize.quotient`.
         """
         a = object.__new__(cls)
         a.__dict__.update(n=n, alphabet=alphabet, edges=edges, finals=finals)
@@ -208,13 +208,11 @@ class Violation(_Record):
                 f"{k.value}: edges {edge(e1)} and {edge(e2)} order targets "
                 f"{e1[1]} < {e2[1]} but labels {sym[e1[2]]} > {sym[e2[2]]}"
             )
-        if k is ViolationKind.AXIOM3:
-            e1, e2 = self.witness
-            return (
-                f"{k.value}: equal-label edges {edge(e1)} and {edge(e2)} cross: "
-                f"targets {e1[1]} < {e2[1]} but sources {e1[0]} > {e2[0]}"
-            )
-        return f"{k.value}: {self.witness}"
+        e1, e2 = self.witness  # the one kind left, AXIOM3
+        return (
+            f"{k.value}: equal-label edges {edge(e1)} and {edge(e2)} cross: "
+            f"targets {e1[1]} < {e2[1]} but sources {e1[0]} > {e2[0]}"
+        )
 
 
 class ValidationReport(_Record):

@@ -19,7 +19,7 @@ import sys
 from .automaton import ParseError, parse_wnfa, serialize_wnfa, to_dot, validate
 from .equivalence import wheeler_bisimilar
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
-from .minimize import format_trace, minimize
+from .minimize import boundary_bits, format_trace, quotient
 from .relations import (
     is_bisimulation,
     is_wheeler_bisimulation,
@@ -94,7 +94,7 @@ def cmd_minimize(args) -> int:
     if not report.ok:
         return _fail(report.describe(a), 1)
     trace: list | None = [] if args.trace else None
-    result = minimize(a, trace)
+    result = quotient(a, boundary_bits(a, trace))
     _write(args.output, serialize_wnfa(result.quotient))
     _write(args.class_map, _class_lines(result.class_map))
     if args.trace:

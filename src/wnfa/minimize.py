@@ -18,6 +18,8 @@ argument and a testable invariant (at most n-1 enqueues per run).
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .automaton import WheelerNfa, _Record, _set, is_deterministic
 from .relations import BoundaryBits, Relation
 
@@ -172,36 +174,36 @@ class QuotientResult(_Record):
 def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     """Collapse every maximal 0-run of ``bits`` into a single state.
 
-    ``bits`` must encode an autobisimulation of ``a`` (the caller's
-    responsibility; arrays from :func:`boundary_bits` or the oracle qualify).
-    Edges and finals are the images of the originals; the mapped edges are
-    deduplicated in first-seen order and the :class:`WheelerNfa` constructor
-    puts them in canonical order, the only sort of the stage.  Raises
-    ValueError when ``bits`` turns a deterministic input non-deterministic,
-    which no autobisimulation can do.
+    The result is Wheeler-bisimilar to ``a`` when ``bits`` encodes an
+    autobisimulation, as arrays from :func:`boundary_bits` or the oracle do.
+    Edges and finals are the images under the class map, the edges
+    deduplicated in first-seen order: for an autobisimulation that order is
+    already canonical (a merged state's edges repeat its class's first), so
+    the one sort is a linear pass.  Raises ValueError when ``bits`` turns a
+    deterministic input non-deterministic, as only other bits can.
     """
-    n = a.n
-    if bits.n != n:
-        raise ValueError(f"bit array covers {bits.n} states, automaton has {n}")
+    if bits.n != a.n:
+        raise ValueError(f"bit array covers {bits.n} states, automaton has {a.n}")
 
     class_map = bits.class_map
     at = (0,) + class_map  # indexed by position
 
     edges = dict.fromkeys((at[u], at[v], lb) for u, v, lb in a.edges)
+    edges = sorted(edges, key=itemgetter(0, 2, 1))
     finals = frozenset(at[f] for f in a.finals)
-    q = WheelerNfa(class_map[-1], a.alphabet, tuple(edges), finals)
+    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, tuple(edges), finals)
     if is_deterministic(a) and not is_deterministic(q):
         raise ValueError("quotient of a deterministic automaton went non-deterministic")
     return QuotientResult(q, class_map)
 
 
-def minimize(a: WheelerNfa, trace: list | None = None) -> QuotientResult:
+def minimize(a: WheelerNfa) -> QuotientResult:
     """Quotient ``a`` by the maximum order-respecting autobisimulation.
 
     The result is the unique (up to isomorphism) state-minimal Wheeler NFA
     that is Wheeler-bisimilar to ``a``; minimizing it again is the identity.
     """
-    return quotient(a, boundary_bits(a, trace))
+    return quotient(a, boundary_bits(a))
 
 
 def format_trace(trace) -> str:

@@ -6,6 +6,7 @@ import pytest
 from wnfa import (
     BoundaryBits,
     OrderedAlphabet,
+    QuotientResult,
     Relation,
     WheelerNfa,
     compute_extrema,
@@ -280,6 +281,25 @@ def convex_signature_refinement(a: WheelerNfa) -> BoundaryBits:
         if cut == bits:
             return BoundaryBits(a.n, bits)
         bits = cut
+
+
+def reference_quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
+    """:func:`wnfa.quotient` through the public, fully checked constructor.
+
+    Maps edges and finals through the class map, deduplicates the edges in
+    first-seen order and lets :class:`WheelerNfa` range-check, sort and
+    duplicate-scan them, with the same two ValueErrors as ``quotient``.
+    """
+    if bits.n != a.n:
+        raise ValueError(f"bit array covers {bits.n} states, automaton has {a.n}")
+    class_map = bits.class_map
+    at = (0,) + class_map
+    edges = dict.fromkeys((at[u], at[v], lb) for u, v, lb in a.edges)
+    finals = frozenset(at[f] for f in a.finals)
+    q = WheelerNfa(class_map[-1], a.alphabet, tuple(edges), finals)
+    if is_deterministic(a) and not is_deterministic(q):
+        raise ValueError("quotient of a deterministic automaton went non-deterministic")
+    return QuotientResult(q, class_map)
 
 
 # --------------------------------------------------------------------------

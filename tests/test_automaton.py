@@ -121,6 +121,43 @@ class TestValidate:
         text = report.describe(a)
         assert "Axiom2" in text and "NotCoReachable" in text
 
+    @pytest.mark.parametrize(
+        "symbols, edges, finals, text",
+        [
+            (
+                "a",
+                [(1, 2, "a")],
+                {2, 3},
+                "NotReachable: state 3 has no path from the initial state",
+            ),
+            (
+                "a",
+                [(1, 2, "a"), (1, 3, "a")],
+                {2},
+                "NotCoReachable: state 3 has no path to a final state",
+            ),
+            (
+                "ab",
+                [(1, 2, "b"), (1, 3, "a")],
+                {2, 3},
+                "Axiom2: edges (1 -> 2 on b) and (1 -> 3 on a) order targets 2 < 3"
+                " but labels b > a",
+            ),
+            (
+                "a",
+                [(3, 2, "a"), (1, 3, "a"), (2, 3, "a")],
+                {2, 3},
+                "Axiom3: equal-label edges (3 -> 2 on a) and (1 -> 3 on a) cross:"
+                " targets 2 < 3 but sources 3 > 1",
+            ),
+        ],
+    )
+    def test_describe_text_of_each_kind(self, symbols, edges, finals, text):
+        a = build(symbols, 3, edges, finals)
+        report = validate(a)
+        assert [v.kind.value for v in report.violations] == [text.split(":")[0]]
+        assert report.describe(a) == text
+
 
 class TestAccepts:
     def test_aa_star(self, aa_star_loop_first):

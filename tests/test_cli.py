@@ -14,6 +14,7 @@ from wnfa import (
     parse_wnfa,
     serialize_relation,
     serialize_wnfa,
+    validate,
 )
 from wnfa.cli import main
 
@@ -466,6 +467,17 @@ class TestGenCommand:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"{option} must be >= 1, got 0\n")
+
+    def test_random_beyond_26_symbols(self, capsys):
+        # past z the generator names symbols s26, s27, ...
+        assert main(["gen", "random", "--n", "200", "--sigma", "30"]) == 0
+        out = capsys.readouterr().out
+        letters = " ".join("abcdefghijklmnopqrstuvwxyz")
+        assert out.splitlines()[0] == f"alphabet {letters} s26 s27 s28 s29"
+        a = parse_wnfa(out)
+        assert validate(a).ok
+        assert parse_wnfa(serialize_wnfa(a)) == a
+        assert serialize_wnfa(a) == out
 
     def test_random_deterministic_per_seed(self, files):
         write, tmp = files

@@ -195,6 +195,17 @@ class TestWheelerBisimilar:
                 negatives += 1
         assert checked >= 500 and staircases >= 30 and negatives >= 50
 
+    def test_staircase_at_scale_minimizes_to_the_base_quotient(self):
+        # heavy merge with an answer known by construction: every state but 1
+        # of a seeded Wheeler DFA becomes 4 copies, about 1e5 edges in all
+        base = gen_random_wheeler(25_000, 2, 8, 12, deterministic=True)
+        a = staircase(base, 4)
+        assert len(a.edges) >= 100_000 and validate(a).ok
+        known, result = minimize(base), minimize(a)
+        assert serialize_wnfa(result.quotient) == serialize_wnfa(known.quotient)
+        origin = [1] + [v for v in range(2, base.n + 1) for _ in range(4)]
+        assert result.class_map == tuple(known.class_map[v - 1] for v in origin)
+
     def test_witness_is_built_when_first_read(self):
         a = gen_distinctness("abb")
         verdict = wheeler_bisimilar(a, minimize(a).quotient)

@@ -24,7 +24,7 @@ from wnfa.reference import (
 )
 from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX
 
-from conftest import build, convex_signature_refinement, words_up_to
+from conftest import build, convex_signature_refinement, reference_quotient, words_up_to
 
 
 class TestComputeExtrema:
@@ -247,6 +247,41 @@ class TestQuotient:
         a = build("a", 3, [(1, 2, "a"), (2, 3, "a")], {3})
         with pytest.raises(ValueError, match="non-deterministic"):
             quotient(a, BoundaryBits(3, (False, True)))
+
+    def test_matches_the_checked_construction_for_any_bits(self):
+        # any bits, not only autobisimulations: the result, or the ValueError
+        # text, equals the public constructor's, and the edges are canonical
+        def outcome(build_quotient, a, bits):
+            try:
+                return build_quotient(a, bits)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(11)
+        seen = {"equal": 0, "non-deterministic": 0, "size": 0}
+        for k in range(300):
+            a = gen_random_wheeler(
+                rng.randint(1, 300), rng.randint(1, 3), rng.randint(1, 4), rng.randrange(2**30),
+                deterministic=k % 2 == 1,
+            )
+            candidates = [boundary_bits(a), BoundaryBits(a.n, (True,) * (a.n - 1))]
+            for density in (0.0, 0.2, 0.5, 0.9):
+                candidates.append(
+                    BoundaryBits(a.n, tuple(rng.random() < density for _ in range(a.n - 1)))
+                )
+            if k % 50 == 0:
+                candidates.append(BoundaryBits(a.n + 1, (True,) * a.n))
+            for bits in candidates:
+                got = outcome(quotient, a, bits)
+                assert got == outcome(reference_quotient, a, bits)
+                if isinstance(got, str):
+                    seen["size" if "covers" in got else "non-deterministic"] += 1
+                    continue
+                seen["equal"] += 1
+                keys = [(u, lab, v) for u, v, lab in got.quotient.edges]
+                assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+        assert seen["equal"] >= 1000 and seen["non-deterministic"] >= 100, seen
+        assert seen["size"] == 6, seen
 
     def test_class_map_is_monotone_and_onto(self):
         rng = random.Random(41)

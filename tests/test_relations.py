@@ -212,6 +212,51 @@ class TestBisimulationChecker:
         assert failure.rule == "finality"
         assert failure.pair == (1, 1)
 
+    @pytest.mark.parametrize(
+        "rule, text",
+        [
+            (
+                "forward",
+                "forward: pair (2, 2) cannot match the left edge (src=2, dst=2, label-rank=0)",
+            ),
+            (
+                "backward",
+                "backward: pair (2, 2) cannot match the right edge (src=2, dst=2, label-rank=0)",
+            ),
+            ("initial", "initial: the pair (1, 1) is missing"),
+            ("finality", "finality: pair (1, 1) disagrees on acceptance"),
+            (
+                "image-convexity",
+                "image-convexity: interval (1, 1) maps to the non-convex set [1, 3]",
+            ),
+            (
+                "preimage-convexity",
+                "preimage-convexity: interval (1, 1) maps to the non-convex set [1, 3]",
+            ),
+        ],
+    )
+    def test_describe_text_of_each_rule(self, rule, text):
+        # a 2-state path, the same with a loop on 2, the path with 1 final, and
+        # an edgeless non-accepting 3-state automaton, whose relations pass every
+        # bisimulation rule but the initial pair and so reach the convexity checks
+        path = build("a", 2, [(1, 2, "a")], {2})
+        loop = build("a", 2, [(1, 2, "a"), (2, 2, "a")], {2})
+        both_final = build("a", 2, [(1, 2, "a")], {1, 2})
+        edgeless = WheelerNfa(3, OrderedAlphabet(("a",)), (), frozenset())
+        diagonal = Relation(2, 2, frozenset({(1, 1), (2, 2)}))
+        fan_out = Relation(3, 3, frozenset({(1, 1), (1, 3)}))
+        check, x, y, rel = {
+            "forward": (is_bisimulation, loop, path, diagonal),
+            "backward": (is_bisimulation, path, loop, diagonal),
+            "initial": (is_bisimulation, path, path, Relation(2, 2, frozenset())),
+            "finality": (is_bisimulation, path, both_final, diagonal),
+            "image-convexity": (is_wheeler_bisimulation, edgeless, edgeless, fan_out),
+            "preimage-convexity": (is_wheeler_bisimulation, edgeless, edgeless, inverse(fan_out)),
+        }[rule]
+        failure = check(x, y, rel)
+        assert failure.rule == rule
+        assert failure.describe() == text
+
     def test_size_mismatch_rejected(self, sample_nfa, aa_star_loop_first):
         with pytest.raises(ValueError):
             is_bisimulation(sample_nfa, aa_star_loop_first, Relation.identity(3))
