@@ -13,7 +13,10 @@ alphabet size:
 3. :func:`quotient` collapses each maximal 0-run into one state.
 
 Stage 2 never enqueues a boundary index twice, which is both the linearity
-argument and a testable invariant (at most n-1 enqueues per run).
+argument and a testable invariant (at most n-1 enqueues per run).  Its
+queue is also the whole record of the run: the ``--trace`` events are
+replayed from it afterwards, so the propagation loop itself does no trace
+work.
 """
 
 from __future__ import annotations
@@ -115,36 +118,45 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     the differential tests enforce that.
 
     ``trace``, when given, receives (event, index) records in execution
-    order: SEED, DEQUEUE, SET-from-jmin, SET-from-jmax.
+    order: SEED, DEQUEUE, SET-from-jmin, SET-from-jmax.  They are replayed
+    from the queue after the loop, so the loop does no trace work: a
+    dequeued boundary i appended exactly the next unmatched queue entries
+    equal to ``j_min[i]`` and then ``j_max[i-1] + 1``, since a boundary
+    already cut sits earlier in the queue, which holds each of 2..n at most
+    once.
     """
     n = a.n
     ex = compute_extrema(a)
+    j_min, j_max = ex.j_min, ex.j_max
     bits = [False] * (n + 1)
-    queue: list[int] = []
-
-    def record(event: str, index: int):
-        if trace is not None:
-            trace.append((event, index))
-
-    for i in range(2, n + 1):
-        if ((i - 1) in a.finals) != (i in a.finals) or ex.z[i]:
-            queue.append(i)
-            bits[i] = True
-            record(TRACE_SEED, i)
+    queue = [i for i in range(2, n + 1) if ((i - 1) in a.finals) != (i in a.finals) or ex.z[i]]
+    for i in queue:
+        bits[i] = True
+    seeds = len(queue)
 
     # appended while iterated: each boundary is enqueued once, in FIFO order
     for i in queue:
-        record(TRACE_DEQUEUE, i)
-        jm = ex.j_min[i]
+        jm = j_min[i]
         if jm is not None and jm >= 2 and not bits[jm]:
             queue.append(jm)
             bits[jm] = True
-            record(TRACE_SET_JMIN, jm)
-        jx = ex.j_max[i - 1]
+        jx = j_max[i - 1]
         if jx is not None and jx <= n - 1 and not bits[jx + 1]:
             queue.append(jx + 1)
             bits[jx + 1] = True
-            record(TRACE_SET_JMAX, jx + 1)
+
+    if trace is not None:
+        trace.extend((TRACE_SEED, i) for i in queue[:seeds])
+        k, end = seeds, len(queue)  # queue[k]: the first cut not yet replayed
+        for i in queue:
+            trace.append((TRACE_DEQUEUE, i))
+            if k < end and queue[k] == j_min[i]:
+                trace.append((TRACE_SET_JMIN, queue[k]))
+                k += 1
+            jx = j_max[i - 1]
+            if k < end and jx is not None and queue[k] == jx + 1:
+                trace.append((TRACE_SET_JMAX, queue[k]))
+                k += 1
 
     return BoundaryBits(n, tuple(bits[2 : n + 1]))
 

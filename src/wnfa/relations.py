@@ -178,10 +178,11 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     return None
 
 
-def _minimal_nonconvex_interval(images: list[set[int]]):
+def _minimal_nonconvex_interval(images: dict[int, set[int]]):
     """The first minimal interval of positions whose image is not convex.
 
-    ``images[p]`` is the image of position p (index 0 unused).  Every
+    ``images[p]`` is the non-empty image of position p, keyed only by the
+    positions the relation relates, so the scan is bounded by it.  Every
     interval has a convex image iff every per-position image is convex and
     each non-empty image overlaps or touches the previous non-empty one,
     since a union of intervals chained that way is an interval, and two
@@ -193,9 +194,7 @@ def _minimal_nonconvex_interval(images: list[set[int]]):
     interval's image is convex.
     """
     prev = prev_lo = prev_hi = None
-    for p, image in enumerate(images):
-        if not image:
-            continue
+    for p, image in sorted(images.items()):
         lo, hi = min(image), max(image)
         if hi - lo + 1 != len(image):
             return (p, p), frozenset(image)
@@ -211,19 +210,19 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
     On top of :func:`is_bisimulation`, every convex set of source states
     must map to a convex set of target states, and symmetrically for
     preimages.  Under position orders the convex sets are exactly the
-    intervals.  One linear pass per side decides whether all of them are
-    convex and, when one is not, returns the first minimal interval with a
-    non-convex image as the witness.
+    intervals.  One pass per side over the related positions, in order,
+    decides whether all of them are convex and, when one is not, returns
+    the first minimal interval with a non-convex image as the witness.
     """
     failure = is_bisimulation(a, a2, rel)
     if failure is not None:
         return failure
 
-    fwd: list[set[int]] = [set() for _ in range(a.n + 1)]
-    back: list[set[int]] = [set() for _ in range(a2.n + 1)]
+    fwd: dict[int, set[int]] = {}
+    back: dict[int, set[int]] = {}
     for i, j in rel.pairs:
-        fwd[i].add(j)
-        back[j].add(i)
+        fwd.setdefault(i, set()).add(j)
+        back.setdefault(j, set()).add(i)
 
     for rule, images in (("image-convexity", fwd), ("preimage-convexity", back)):
         hit = _minimal_nonconvex_interval(images)
@@ -251,6 +250,9 @@ def parse_relation(text: str) -> Relation:
                 raise _error("relation line takes: relation <n> <n'>", lineno, line)
             left = _parse_int("size", lineno, line, toks, 1)
             right = _parse_int("size", lineno, line, toks, 2)
+            for k, size in ((1, left), (2, right)):
+                if size < 1:
+                    raise _error("size must be >= 1", lineno, line, k)
         elif kw == "pair":
             if left is None:
                 raise _error("pair line before relation line", lineno, line)

@@ -14,6 +14,7 @@ from wnfa import (
     is_deterministic,
 )
 from wnfa.automaton import _ranks_in, _successors
+from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX, TRACE_SET_JMIN
 
 
 def build(symbols, n, edges, finals) -> WheelerNfa:
@@ -222,6 +223,43 @@ def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
     return Relation(a.n, a2.n, frozenset(seen))
 
 
+def dfa_language_equal(a: WheelerNfa, a2: WheelerNfa) -> tuple[bool, int]:
+    """Language equality of two validated DFAs by a product BFS from (1, 1).
+
+    Every state of a validated automaton is co-reachable, so a reachable
+    pair whose states differ in finality or in their outgoing tokens proves
+    the languages differ; with no such pair they are equal.  The BFS follows
+    every token the two states share, so it visits the whole reachable
+    product.  Returns (equal, number of reachable pairs).  For Wheeler DFAs
+    a pair is a non-empty intersection of two co-lex interval partitions,
+    so there are at most n1 + n2 - 1 pairs.
+    """
+    for side in (a, a2):
+        if not is_deterministic(side):
+            raise ValueError("dfa_language_equal needs deterministic inputs")
+
+    def steps(x: WheelerNfa) -> list[dict[str, int]]:
+        step: list[dict[str, int]] = [{} for _ in range(x.n + 1)]
+        for u, v, lab in x.edges:
+            step[u][x.alphabet.symbols[lab]] = v
+        return step
+
+    step1, step2 = steps(a), steps(a2)
+    equal = True
+    seen = {(1, 1)}
+    queue = [(1, 1)]
+    for u, u2 in queue:
+        out1, out2 = step1[u], step2[u2]
+        if (u in a.finals) != (u2 in a2.finals) or out1.keys() != out2.keys():
+            equal = False
+        for tok in out1.keys() & out2.keys():
+            pair = (out1[tok], out2[tok])
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return equal, len(seen)
+
+
 def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
     """Do the two automata accept exactly the same words up to ``max_len``?
 
@@ -300,6 +338,44 @@ def reference_quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     if is_deterministic(a) and not is_deterministic(q):
         raise ValueError("quotient of a deterministic automaton went non-deterministic")
     return QuotientResult(q, class_map)
+
+
+def reference_trace(a: WheelerNfa) -> tuple[BoundaryBits, list]:
+    """:func:`wnfa.boundary_bits` recording each event as the loop runs it.
+
+    The propagation loop with a ``record`` call per seed, dequeue and cut,
+    so the trace is the execution order by construction; ``boundary_bits``
+    replays the same events from its queue after the loop.
+    """
+    n = a.n
+    ex = compute_extrema(a)
+    bits = [False] * (n + 1)
+    queue: list[int] = []
+    trace: list = []
+
+    def record(event: str, index: int):
+        trace.append((event, index))
+
+    for i in range(2, n + 1):
+        if ((i - 1) in a.finals) != (i in a.finals) or ex.z[i]:
+            queue.append(i)
+            bits[i] = True
+            record(TRACE_SEED, i)
+
+    for i in queue:
+        record(TRACE_DEQUEUE, i)
+        jm = ex.j_min[i]
+        if jm is not None and jm >= 2 and not bits[jm]:
+            queue.append(jm)
+            bits[jm] = True
+            record(TRACE_SET_JMIN, jm)
+        jx = ex.j_max[i - 1]
+        if jx is not None and jx <= n - 1 and not bits[jx + 1]:
+            queue.append(jx + 1)
+            bits[jx + 1] = True
+            record(TRACE_SET_JMAX, jx + 1)
+
+    return BoundaryBits(n, tuple(bits[2 : n + 1])), trace
 
 
 # --------------------------------------------------------------------------

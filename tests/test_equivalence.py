@@ -30,6 +30,7 @@ from wnfa.equivalence import (
 from conftest import (
     build,
     dfa_language_bisimulation,
+    dfa_language_equal,
     gen_equal_language_dfa_pair,
     language_sample_equal,
     unroll_self_loop,
@@ -71,6 +72,18 @@ def with_extra_token(a: WheelerNfa, at: int) -> WheelerNfa:
     alphabet = OrderedAlphabet(tuple(symbols))
     edges = tuple((u, v, alphabet.rank[a.alphabet.symbols[lab]]) for u, v, lab in a.edges)
     return WheelerNfa(a.n, alphabet, edges, a.finals)
+
+
+def with_one_more_final(a: WheelerNfa, rng: random.Random) -> WheelerNfa | None:
+    """``a`` with one non-final state made final; None when all are final.
+
+    On a DFA whose states are all reachable this adds a word to the
+    language, so the copy is never language-equal to ``a``.
+    """
+    others = [p for p in range(1, a.n + 1) if p not in a.finals]
+    if not others:
+        return None
+    return WheelerNfa(a.n, a.alphabet, a.edges, a.finals | {rng.choice(others)})
 
 
 def eager_witness(x: WheelerNfa, y: WheelerNfa) -> Relation:
@@ -264,6 +277,57 @@ class TestDfaLanguageBisimulation:
             rel = dfa_language_bisimulation(a, b)
             assert is_wheeler_bisimulation(a, b, rel) is None
             assert wheeler_bisimilar(a, b).bisimilar
+
+
+class TestDfaLanguageReference:
+    """``wheeler_bisimilar`` on Wheeler DFAs against language equality.
+
+    On Wheeler DFAs the two coincide, and the product BFS that decides
+    language equality visits at most n1 + n2 - 1 pairs, so it is a linear
+    reference at every size.  A pair over that bound would mean an invalid
+    order got past ``validate``.
+    """
+
+    def check(self, a: WheelerNfa, b: WheelerNfa) -> bool:
+        equal, pairs = dfa_language_equal(a, b)
+        assert pairs <= a.n + b.n - 1, (a.n, b.n, pairs)
+        assert wheeler_bisimilar(a, b).bisimilar == equal
+        return equal
+
+    def test_small_pairs(self):
+        rng = random.Random(37)
+        verdicts = {True: 0, False: 0}
+        for _ in range(250):
+            # one equal-language pair and one pair from independent seeds
+            a, b = gen_equal_language_dfa_pair(
+                rng.randrange(2**30), n=rng.randint(2, 58), sigma=rng.randint(1, 4)
+            )
+            sigma = rng.randint(1, 4)
+            c, d = (
+                gen_random_wheeler(
+                    rng.randint(2, 60), 2, sigma, rng.randrange(2**30), deterministic=True
+                )
+                for _ in range(2)
+            )
+            pairs = [(a, b), (c, d)]
+            for x in (a, c, d):
+                pairs.append((x, minimize(x).quotient))
+                y = with_one_more_final(x, rng)
+                if y is not None:
+                    pairs.append((x, y))
+            for x, y in pairs:
+                assert validate(x).ok and validate(y).ok
+                verdicts[self.check(x, y)] += 1
+        assert sum(verdicts.values()) >= 1900 and min(verdicts.values()) >= 800, verdicts
+
+    @pytest.mark.parametrize("n, seeds", [(1_000, 3), (10_000, 2), (100_000, 1)])
+    def test_large_pairs(self, n, seeds):
+        rng = random.Random(n)
+        for _ in range(seeds):
+            a = gen_random_wheeler(n, 2, rng.choice((2, 8)), rng.randrange(2**30), True)
+            assert validate(a).ok
+            assert self.check(a, minimize(a).quotient)
+            assert not self.check(a, with_one_more_final(a, rng))
 
 
 class TestLanguageSampleEqual:

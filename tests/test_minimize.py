@@ -22,9 +22,15 @@ from wnfa.reference import (
     max_standard_autobisimulation,
     oracle_max_wheeler_autobisimulation,
 )
-from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX
+from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX, TRACE_SET_JMIN
 
-from conftest import build, convex_signature_refinement, reference_quotient, words_up_to
+from conftest import (
+    build,
+    convex_signature_refinement,
+    reference_quotient,
+    reference_trace,
+    words_up_to,
+)
 
 
 class TestComputeExtrema:
@@ -210,6 +216,26 @@ class TestBoundaryBits:
                     jx = ex.j_max[i - 1]
                     if jx is not None and 1 <= jx <= a.n - 1:
                         assert bits.bit(jx + 1)
+
+    def test_trace_replay_matches_the_recording_loop(self):
+        # the replay from the queue must give the events the loop ran, in order
+        rng = random.Random(36)
+        cases = [gen_chain(k) for k in range(3, 41)]
+        cases += [gen_distinctness(w) for w in ("abb", "aab", "abcabc", "ba", "abba")]
+        cases += [
+            gen_random_wheeler(
+                rng.randint(1, 300), 2, rng.randint(1, 4), rng.randrange(2**30),
+                deterministic=k % 2 == 0,
+            )
+            for k in range(400)
+        ]
+        derived = 0
+        for a in cases:
+            trace: list = []
+            bits = boundary_bits(a, trace)
+            assert (bits, trace) == reference_trace(a)
+            derived += sum(ev in (TRACE_SET_JMIN, TRACE_SET_JMAX) for ev, _ in trace)
+        assert derived >= 1000, derived
 
     def test_trace_formatting(self):
         trace = []

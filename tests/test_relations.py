@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +375,22 @@ class TestBisimulationChecker:
         assert is_wheeler_bisimulation(a, result.quotient, rel) is None
         assert is_wheeler_bisimulation(result.quotient, a, inverse(rel)) is None
 
+    def test_convexity_memory_is_bounded_by_the_relation(self):
+        # one related pair on a large edgeless automaton: the convexity
+        # checks may hold images for related positions only, not for all n
+        n = 200_000
+        edgeless = WheelerNfa(n, OrderedAlphabet(("a",)), (), frozenset())
+        rel = Relation(n, n, frozenset({(1, 1)}))
+        peaks = []
+        for check in (is_bisimulation, is_wheeler_bisimulation):
+            tracemalloc.start()
+            try:
+                assert check(edgeless, edgeless, rel) is None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2_000_000, peaks
+
 
 class TestStandardBisimulationBaseline:
     def test_two_level_tree_classes(self, two_level_tree):
@@ -496,6 +513,10 @@ class TestRelationFormat:
             ("relation 2\n", "line 1, column 1: relation line takes: relation <n> <n'>", 1, 1),
             ("relation x 2\n", "line 1, column 10: expected size, got 'x'", 1, 10),
             ("relation 2 y\n", "line 1, column 12: expected size, got 'y'", 1, 12),
+            ("relation 0 1\npair 1 1\n", "line 1, column 10: size must be >= 1", 1, 10),
+            ("relation -3 1\n", "line 1, column 10: size must be >= 1", 1, 10),
+            ("relation 2 0\n", "line 1, column 12: size must be >= 1", 1, 12),
+            ("relation 0 y\n", "line 1, column 12: expected size, got 'y'", 1, 12),
             ("pair 1 1\n", "line 1, column 1: pair line before relation line", 1, 1),
             ("relation 2 2\npair 1\n", "line 2, column 1: pair line takes: pair <i> <j>", 2, 1),
             ("relation 2 2\npair x 1\n", "line 2, column 6: expected index, got 'x'", 2, 6),
