@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import enum
 import re
+from collections.abc import Mapping
 from functools import cached_property
-from itertools import pairwise
+from itertools import groupby, pairwise
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NoReturn
 
 
@@ -233,11 +235,22 @@ class ValidationReport(_Record):
         return "\n".join(v.describe(a) for v in self.violations)
 
 
-def _successors(a: WheelerNfa) -> list[dict[int, list[int]]]:
-    """Per-state map label-rank -> target list (index 0 unused), both ascending."""
-    out: list[dict[int, list[int]]] = [dict() for _ in range(a.n + 1)]
-    for u, v, lab in a.edges:
-        out[u].setdefault(lab, []).append(v)
+# the map of every state without out-edges, read-only because they share it
+_NO_EDGES: Mapping[int, list[int]] = MappingProxyType({})
+
+
+def _successors(a: WheelerNfa) -> list[Mapping[int, list[int]]]:
+    """Per-state map label-rank -> target list (index 0 unused), both ascending.
+
+    Beyond one list slot per state, the memory follows the edges: states
+    without out-edges share :data:`_NO_EDGES`.
+    """
+    out: list[Mapping[int, list[int]]] = [_NO_EDGES] * (a.n + 1)
+    for u, edges in groupby(a.edges, itemgetter(0)):
+        by_label: dict[int, list[int]] = {}
+        for _, v, lab in edges:
+            by_label.setdefault(lab, []).append(v)
+        out[u] = by_label
     return out
 
 

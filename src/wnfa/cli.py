@@ -8,11 +8,22 @@ read or an output that cannot be written.  Every answer is written through
 is closed or its reader has gone, exits 2 as well.  :func:`_fail` drops a
 diagnostic that cannot reach standard error, without changing the exit
 code.  Every path argument accepts ``-`` for the standard streams.
+
+:func:`main` runs each command with the cyclic garbage collector off, and
+restores the caller's setting when the command returns or raises; importing
+the package leaves it alone.  Automata, relations and traces are acyclic:
+tuples, lists, dicts and records of ints and strings.  The collector finds
+nothing among them, yet rescans them whenever enough allocations pile up,
+which took 10-13% of each command's time on 2e4-state inputs.  The only
+cyclic garbage a command leaves is a constant number of argparse objects,
+whatever the input size; the caller's next collection, or the
+interpreter's exit, frees them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -128,7 +139,7 @@ def cmd_check_relation(args) -> int:
     try:
         failure = check(a, b, rel)
     except ValueError as exc:
-        return _fail(str(exc))
+        return _fail(f"{args.relation}: {exc}")
     _write(None, "ok\n" if failure is None else failure.describe() + "\n")
     return 0 if failure is None else 1
 
@@ -252,7 +263,13 @@ def main(argv=None) -> int:
         args = _build_dev_parser().parse_args(argv[1:])
     else:
         args = build_parser().parse_args(argv)
-    return args.func(args)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -153,7 +153,10 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     label by its rank in its own automaton.
     """
     if (rel.left_size, rel.right_size) != (a.n, a2.n):
-        raise ValueError("relation size does not match the automata")
+        raise ValueError(
+            f"relation {rel.left_size} {rel.right_size} does not match the automata, "
+            f"which have {a.n} and {a2.n} states"
+        )
     succ1 = _successors(a)
     succ2 = _successors(a2)
     to2 = _ranks_in(a, a2)

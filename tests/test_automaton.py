@@ -197,3 +197,33 @@ class TestAccepts:
             symbols = a.alphabet.symbols
             for word in words_up_to(symbols, 8):
                 assert accepts(a, word) == brute_accepts(a, word), (word, a)
+
+
+class TestSuccessors:
+    def test_matches_one_map_per_state(self):
+        import random
+
+        from wnfa import gen_random_wheeler
+        from wnfa.automaton import _successors
+
+        rng = random.Random(17)
+        for _ in range(300):
+            n, sigma, seed = rng.randint(1, 60), rng.randint(1, 4), rng.randrange(2**30)
+            a = gen_random_wheeler(n, 2, sigma, seed, deterministic=rng.random() < 0.5)
+            expected = [{} for _ in range(a.n + 1)]
+            for u, v, lab in sorted(a.edges):
+                expected[u].setdefault(lab, []).append(v)
+            got = _successors(a)
+            assert len(got) == a.n + 1
+            for u in range(a.n + 1):
+                assert dict(got[u]) == expected[u], (u, a)
+                assert list(got[u]) == sorted(expected[u])
+
+    def test_states_without_out_edges_share_a_read_only_map(self):
+        from wnfa.automaton import _successors
+
+        succ = _successors(build("a", 4, [(1, 2, "a"), (2, 3, "a")], {3}))
+        assert succ[3] is succ[4] is succ[0]
+        with pytest.raises(TypeError):
+            succ[4][0] = [1]
+        assert dict(succ[1]) == {0: [2]} and dict(succ[4]) == {}

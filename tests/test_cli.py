@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import os
 import subprocess
@@ -10,12 +11,15 @@ import pytest
 from wnfa import (
     gen_chain,
     gen_distinctness,
+    gen_random_wheeler,
     minimize,
     parse_wnfa,
     serialize_relation,
     serialize_wnfa,
     validate,
+    wheeler_bisimilar,
 )
+from wnfa import cli
 from wnfa.cli import main
 
 from conftest import build, unorderable_three_state
@@ -255,6 +259,17 @@ class TestCheckRelationCommand:
         r = write("r.rel", "relation 2 2\npair 1 1\n")
         assert main(["check-relation", a, a, r, "--standard"]) == 2
 
+    @pytest.mark.parametrize("mode", ["--standard", "--wheeler"])
+    def test_size_mismatch_names_the_relation_and_sizes(self, files, capsys, mode):
+        write, _ = files
+        a = write("c.wnfa", CHAIN3)
+        r = write("r.rel", "relation 1 1\npair 1 1\n")
+        assert main(["check-relation", a, a, r, mode]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"{r}: relation 1 1 does not match the automata, which have 3 and 3 states\n",
+        )
+
     def test_mode_flag_required(self, files):
         a, b, r = self.fixture_paths(files)
         with pytest.raises(SystemExit) as err:
@@ -448,6 +463,119 @@ class TestUnwritableDiagnostics:
             assert exit_with_closed(["gen", "chain", "3"], [1], stderr=full) == (2, "", None)
 
 
+@pytest.fixture
+def collector_back_on():
+    """Turns the cyclic collector back on after the test, whatever the test left."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.usefixtures("collector_back_on")
+class TestCollector:
+    """`main` runs a command with the cyclic collector off and restores the caller's state."""
+
+    def test_commands_run_with_the_collector_off(self, files, monkeypatch):
+        write, _ = files
+        seen = []
+
+        def validate_and_record(a):
+            seen.append(gc.isenabled())
+            return validate(a)
+
+        monkeypatch.setattr(cli, "validate", validate_and_record)
+        gc.enable()
+        assert main(["validate", write("c.wnfa", CHAIN3)]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "path", ["return-0", "return-1", "load-error", "stdout-closed", "usage-error"]
+    )
+    def test_restored_on_every_exit_path(self, files, capsys, monkeypatch, path, enabled):
+        write, _ = files
+        argv, code = {
+            "return-0": (["gen", "chain", "3"], 0),
+            "return-1": (["validate", write("u.wnfa", UNREACHABLE)], 1),
+            "load-error": (["validate", write("x.wnfa", "alphabet a\nstates x\n")], None),
+            "stdout-closed": (["gen", "chain", "3"], None),
+            "usage-error": (["gen", "chain", "x"], None),
+        }[path]
+        if path == "stdout-closed":
+            monkeypatch.setattr("sys.stdout", None)
+        (gc.enable if enabled else gc.disable)()
+        if code is None:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+
+SIZES = {"small": 200, "large": 20_000}
+
+
+@pytest.fixture(scope="module")
+def sized_inputs(tmp_path_factory):
+    """An automaton, its quotient, an unrelated one and a witness relation, per size."""
+    inputs = {}
+    for name, n in SIZES.items():
+        tmp = tmp_path_factory.mktemp(name)
+        a, b = gen_random_wheeler(n, 2, 3, 5), gen_random_wheeler(n, 2, 3, 6)
+        q = minimize(a).quotient
+        documents = {
+            "a.wnfa": serialize_wnfa(a),
+            "q.wnfa": serialize_wnfa(q),
+            "b.wnfa": serialize_wnfa(b),
+            "r.rel": serialize_relation(wheeler_bisimilar(a, q).witness),
+        }
+        paths = dict(n=str(n), text="abcde" * (n // 5), out=str(tmp / "out"))
+        for file, text in documents.items():
+            (tmp / file).write_text(text)
+            paths[file.split(".")[0]] = str(tmp / file)
+        inputs[name] = paths
+    return inputs
+
+
+@pytest.mark.usefixtures("collector_back_on")
+class TestCyclicGarbage:
+    """What the collector would have found is a constant, not a function of the input."""
+
+    # `--dev oracle` is left out: it enumerates, and refuses inputs above 16 states
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{a}"],
+            ["minimize", "{a}", "-o", "{out}.q", "--class-map", "{out}.m", "--trace", "-",
+             "--dot", "{out}.d"],
+            ["equiv", "{a}", "{q}"],
+            ["equiv", "{a}", "{b}"],
+            ["equiv", "{a}", "{q}", "--witness", "{out}.w"],
+            ["check-relation", "{a}", "{q}", "{r}", "--wheeler"],
+            ["check-relation", "{a}", "{q}", "{r}", "--standard"],
+            ["gen", "chain", "{n}"],
+            ["gen", "distinctness", "{text}"],
+            ["gen", "random", "--n", "{n}"],
+            ["--dev", "std-bisim", "{a}"],
+        ],
+        ids=[
+            "validate", "minimize", "equiv-yes", "equiv-no", "equiv-witness",
+            "check-wheeler", "check-standard", "gen-chain", "gen-distinctness", "gen-random",
+            "dev-std-bisim",
+        ],
+    )
+    def test_same_for_both_sizes(self, sized_inputs, capsys, argv):
+        found = {}
+        for name, paths in sized_inputs.items():
+            gc.collect()
+            gc.disable()
+            main([arg.format(**paths) for arg in argv])
+            found[name] = gc.collect()
+            gc.enable()
+            capsys.readouterr()
+        assert found["small"] == found["large"], found
+
+
 class TestGenCommand:
     def test_chain(self, capsys):
         assert main(["gen", "chain", "3"]) == 0
@@ -546,3 +674,11 @@ class TestStartup:
         added = set(out.split())
         assert "wnfa.cli" in added
         assert not added & {"dataclasses", "inspect", "logging", "wnfa.reference"}
+
+    def test_import_leaves_the_collector_on(self):
+        code = "import gc, wnfa, wnfa.cli\nprint(gc.isenabled())\n"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "True\n"

@@ -391,6 +391,20 @@ class TestBisimulationChecker:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2_000_000, peaks
 
+    def test_bisimulation_memory_is_bounded_by_the_edges(self):
+        # no state has an out-edge, so beyond one list slot (8 bytes) per
+        # state and side the successor maps may take nothing per state
+        n = 200_000
+        edgeless = WheelerNfa(n, OrderedAlphabet(("a",)), (), frozenset())
+        rel = Relation(n, n, frozenset({(1, 1)}))
+        tracemalloc.start()
+        try:
+            assert is_bisimulation(edgeless, edgeless, rel) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n, peak
+
 
 class TestStandardBisimulationBaseline:
     def test_two_level_tree_classes(self, two_level_tree):
