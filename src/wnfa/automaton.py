@@ -170,7 +170,8 @@ class WheelerNfa(_Record):
 
         ``edges`` must be a tuple of in-range, duplicate-free edges strictly
         ascending in (source, label, target) order, and ``finals`` a frozenset
-        inside 1..n.  Callers: :func:`parse_wnfa` and :func:`~wnfa.minimize.quotient`.
+        inside 1..n.  Callers: :func:`parse_wnfa`, :func:`~wnfa.minimize.quotient`
+        and ``wnfa equiv``, for a quotient a child process built.
         """
         a = object.__new__(cls)
         a.__dict__.update(n=n, alphabet=alphabet, edges=edges, finals=finals)

@@ -9,6 +9,13 @@ is closed or its reader has gone, exits 2 as well.  :func:`_fail` drops a
 diagnostic that cannot reach standard error, without changing the exit
 code.  Every path argument accepts ``-`` for the standard streams.
 
+``equiv`` prepares its second input in one forked child while this
+process prepares the first, and reports exactly what a sequential run
+would; it reaps the child on every exit path, and prepares that input
+itself when fork is missing or fails, when the child sends no complete
+result, or when an input is too small to gain from a child.  There is no
+option for any of this; :mod:`wnfa.equiv_command` has the details.
+
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
 the package leaves it alone.  Automata, relations and traces are acyclic:
@@ -28,15 +35,9 @@ import os
 import sys
 
 from .automaton import ParseError, parse_wnfa, serialize_wnfa, to_dot, validate
-from .equivalence import wheeler_bisimilar
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
 from .minimize import boundary_bits, format_trace, quotient
-from .relations import (
-    is_bisimulation,
-    is_wheeler_bisimulation,
-    parse_relation,
-    serialize_relation,
-)
+from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation
 
 
 def _read(path: str) -> str:
@@ -65,9 +66,19 @@ def _write(path: str | None, text: str) -> None:
                 fh.write(text)
     except OSError as exc:
         if to_stdout and sys.stdout is not None:
-            # what stdout still buffers would fail again at exit: send it to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout)
         raise SystemExit(_fail(f"{'-' if path is None else path}: {exc}")) from None
+
+
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s descriptor at devnull.
+
+    What a failed write left in the stream's buffer would fail again at exit,
+    and the interpreter would then exit 120 whatever the command returned.
+    """
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -84,12 +95,25 @@ def _class_lines(class_map) -> str:
     return "".join(f"class {p} {c}\n" for p, c in enumerate(class_map, 1))
 
 
-def _load(path: str, parse=parse_wnfa):
-    """Parse the document at ``path``; any failure to read it exits 2."""
+def _text(path: str) -> str:
+    """The text at ``path``; a failure to read it exits 2."""
     try:
-        return parse(_read(path))
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        return _read(path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_fail(f"{path}: {exc}")) from None
+
+
+def _parse(path: str, text: str, parse=parse_wnfa):
+    """``parse(text)``; a malformed ``text`` exits 2 with ``path`` in the message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise SystemExit(_fail(f"{path}: {exc}")) from None
+
+
+def _load(path: str, parse=parse_wnfa):
+    """Parse the document at ``path``; any failure to read or parse it exits 2."""
+    return _parse(path, _text(path), parse)
 
 
 def cmd_validate(args) -> int:
@@ -116,19 +140,10 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
-    for path, x in ((args.a, a), (args.b, b)):
-        report = validate(x)
-        if not report.ok:
-            return _fail(f"{path}:\n{report.describe(x)}")
-    verdict = wheeler_bisimilar(a, b)
-    _write(None, verdict.reason + "\n")
-    if verdict.bisimilar:
-        if args.witness:
-            _write(args.witness, serialize_relation(verdict.witness))
-        return 0
-    return 1
+    # imported here, so that only equiv compiles its fork and pipe code
+    from .equiv_command import cmd_equiv as run
+
+    return run(args)
 
 
 def cmd_check_relation(args) -> int:
@@ -259,17 +274,23 @@ def main(argv=None) -> int:
         # started with no stderr, e.g. under `2>&-`; argparse would print usage to stdout
         sys.stderr = open(os.devnull, "w")
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "--dev":
-        args = _build_dev_parser().parse_args(argv[1:])
-    else:
-        args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
-    gc.disable()
     try:
+        if argv and argv[0] == "--dev":
+            args = _build_dev_parser().parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
+        gc.disable()
         return args.func(args)
     finally:
         if collecting:
             gc.enable()
+        # a diagnostic stderr could not take, from _fail or from argparse's
+        # usage errors, is still in its buffer
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _to_devnull(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -63,13 +63,30 @@ def order_respecting_iso(a: WheelerNfa, a2: WheelerNfa) -> bool:
     are compared as tokens: each edge of ``a``, translated to ``a2``'s
     ranks, must be an edge of ``a2``.  Translation keeps distinct edges
     distinct (an edge whose token ``a2`` lacks matches nothing), so with
-    equal edge counts this makes the edge sets equal.
+    equal edge counts this makes the edge sets equal.  Under one alphabet,
+    ranks are tokens and both edge tuples are in canonical order, so the
+    sets are equal iff the tuples are.
     """
     if a.n != a2.n or a.finals != a2.finals or len(a.edges) != len(a2.edges):
         return False
+    if a.alphabet == a2.alphabet:
+        return a.edges == a2.edges
     to2 = _ranks_in(a, a2)
     edges2 = set(a2.edges)
     return all((u, v, to2[lab]) in edges2 for u, v, lab in a.edges)
+
+
+def compare_minimized(r1: QuotientResult, r2: QuotientResult) -> EquivalenceVerdict:
+    """The verdict on two inputs, from their minimization results.
+
+    The inputs are Wheeler-bisimilar iff their quotients have the same size
+    and the position-identity map is an isomorphism between them.
+    """
+    if r1.quotient.n != r2.quotient.n:
+        return EquivalenceVerdict(False, REASON_SIZE_MISMATCH)
+    if not order_respecting_iso(r1.quotient, r2.quotient):
+        return EquivalenceVerdict(False, REASON_NOT_ISOMORPHIC)
+    return EquivalenceVerdict(True, REASON_ISOMORPHIC, (r1, r2))
 
 
 def wheeler_bisimilar(a: WheelerNfa, a2: WheelerNfa) -> EquivalenceVerdict:
@@ -81,10 +98,4 @@ def wheeler_bisimilar(a: WheelerNfa, a2: WheelerNfa) -> EquivalenceVerdict:
     :attr:`~EquivalenceVerdict.witness` (built when first read) is a
     relation the Wheeler-bisimulation checker accepts.
     """
-    r1 = minimize(a)
-    r2 = minimize(a2)
-    if r1.quotient.n != r2.quotient.n:
-        return EquivalenceVerdict(False, REASON_SIZE_MISMATCH)
-    if not order_respecting_iso(r1.quotient, r2.quotient):
-        return EquivalenceVerdict(False, REASON_NOT_ISOMORPHIC)
-    return EquivalenceVerdict(True, REASON_ISOMORPHIC, (r1, r2))
+    return compare_minimized(minimize(a), minimize(a2))

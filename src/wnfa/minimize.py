@@ -191,13 +191,16 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     Edges and finals are the images under the class map, the edges
     deduplicated in first-seen order: for an autobisimulation that order is
     already canonical (a merged state's edges repeat its class's first), so
-    the one sort is a linear pass.  Raises ValueError when ``bits`` turns a
+    the one sort is a linear pass.  When no two states merge, the result
+    holds ``a`` itself.  Raises ValueError when ``bits`` turns a
     deterministic input non-deterministic, as only other bits can.
     """
     if bits.n != a.n:
         raise ValueError(f"bit array covers {bits.n} states, automaton has {a.n}")
 
     class_map = bits.class_map
+    if class_map[-1] == a.n:
+        return QuotientResult(a, class_map)
     at = (0,) + class_map  # indexed by position
 
     edges = dict.fromkeys((at[u], at[v], lb) for u, v, lb in a.edges)

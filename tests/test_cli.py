@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from wnfa import (
     validate,
     wheeler_bisimilar,
 )
-from wnfa import cli
+from wnfa import cli, equiv_command
 from wnfa.cli import main
 
 from conftest import build, unorderable_three_state
@@ -187,6 +188,235 @@ class TestEquivCommand:
         assert main(["equiv", bad, good]) == 2
 
 
+def run_main(argv, capsys):
+    """``main(argv)`` in-process: its exit code, stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a trailing comment line long enough that `equiv` prepares the second input in a child
+PAD = "#" * equiv_command._FORK_MIN_CHARS + "\n"
+INPUTS = {
+    "ok": CHAIN3 + PAD,
+    "malformed": "alphabet a\nstates x\n" + PAD,
+    "invalid": "alphabet a\nstates 3\nfinal 2\nedge 1 2 a\n" + PAD,
+}
+
+
+def equiv_message(kind, path):
+    """The diagnostic ``equiv`` gives for an input of ``kind`` at ``path``."""
+    return {
+        "missing": f"{path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{path}'\n",
+        "malformed": f"{path}: line 2, column 8: expected state count, got 'x'\n",
+        "invalid": (
+            f"{path}:\nNotReachable: state 3 has no path from the initial state\n"
+            "NotCoReachable: state 3 has no path to a final state\n"
+        ),
+        "empty": f"{path}: line 1: missing alphabet line\n",
+        "closed": f"{path}: standard input is closed\n",
+    }[kind]
+
+
+class TestEquivSides:
+    """`equiv` prepares its second input in a forked child: the same answers, in the same order."""
+
+    def paths(self, files, kind_a, kind_b):
+        write, tmp = files
+        return [
+            str(tmp / f"{side}.wnfa") if kind == "missing" else write(f"{side}.wnfa", INPUTS[kind])
+            for side, kind in (("a", kind_a), ("b", kind_b))
+        ]
+
+    # A's read or parse error, then B's, then A's validation report, then B's
+    @pytest.mark.parametrize(
+        "kind_a, kind_b, reported",
+        [
+            ("missing", "ok", "a"),
+            ("missing", "missing", "a"),
+            ("missing", "malformed", "a"),
+            ("missing", "invalid", "a"),
+            ("malformed", "ok", "a"),
+            ("malformed", "missing", "a"),
+            ("malformed", "malformed", "a"),
+            ("malformed", "invalid", "a"),
+            ("invalid", "missing", "b"),
+            ("invalid", "malformed", "b"),
+            ("invalid", "invalid", "a"),
+            ("invalid", "ok", "a"),
+            ("ok", "missing", "b"),
+            ("ok", "malformed", "b"),
+            ("ok", "invalid", "b"),
+        ],
+    )
+    def test_error_order(self, files, capsys, kind_a, kind_b, reported):
+        a, b = self.paths(files, kind_a, kind_b)
+        path, kind = (a, kind_a) if reported == "a" else (b, kind_b)
+        assert run_main(["equiv", a, b], capsys) == (2, "", equiv_message(kind, path))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "argv, stdin, expected",
+        [
+            (["-", "{ok}"], "ok", (0, "Isomorphic\n", "")),
+            (["{ok}", "-"], "ok", (0, "Isomorphic\n", "")),
+            (["-", "{ok}"], "malformed", (2, "", equiv_message("malformed", "-"))),
+            (["{ok}", "-"], "malformed", (2, "", equiv_message("malformed", "-"))),
+            (["-", "{invalid}"], "ok", (2, "", equiv_message("invalid", "{invalid}"))),
+            (["{invalid}", "-"], "malformed", (2, "", equiv_message("malformed", "-"))),
+            # the first read takes all of stdin, so the second side is empty
+            (["-", "-"], "ok", (2, "", equiv_message("empty", "-"))),
+            (["{ok}", "-"], None, (2, "", equiv_message("closed", "-"))),
+            (["{invalid}", "-"], None, (2, "", equiv_message("closed", "-"))),
+            (["{malformed}", "-"], None, (2, "", equiv_message("malformed", "{malformed}"))),
+            (["-", "{ok}"], None, (2, "", equiv_message("closed", "-"))),
+        ],
+        ids=[
+            "a-ok", "b-ok", "a-malformed", "b-malformed", "b-invalid", "b-malformed-after-a-invalid",
+            "both", "b-closed", "b-closed-after-a-invalid", "a-malformed-before-b-closed",
+            "a-closed",
+        ],
+    )
+    def test_stdin_as_either_side(self, files, capsys, monkeypatch, argv, stdin, expected):
+        write, _ = files
+        paths = {kind: write(f"{kind}.wnfa", text) for kind, text in INPUTS.items()}
+        if stdin is not None:
+            stdin = io.TextIOWrapper(io.BytesIO(INPUTS[stdin].encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = expected
+        argv = ["equiv", *(arg.format(**paths) for arg in argv)]
+        assert run_main(argv, capsys) == (code, out, err.format(**paths))
+        assert_no_child_left()
+
+    def pairs(self):
+        """Bisimilar pairs, with states merging on one side or both."""
+        g = gen_distinctness("abb")
+        r = gen_random_wheeler(300, 2, 3, 5)
+        assert minimize(r).quotient.n < r.n
+        return [(g, g), (g, minimize(g).quotient), (r, r), (r, minimize(r).quotient)]
+
+    def test_witness_is_the_sequential_verdicts(self, files, capsys):
+        write, tmp = files
+        witness = tmp / "w.rel"
+        for left, right in self.pairs():
+            verdict = wheeler_bisimilar(left, right)
+            argv = [
+                "equiv", write("l.wnfa", serialize_wnfa(left) + PAD),
+                write("r.wnfa", serialize_wnfa(right) + PAD), "--witness", str(witness),
+            ]
+            assert run_main(argv, capsys) == (0, "Isomorphic\n", "")
+            assert witness.read_text() == serialize_relation(verdict.witness)
+            assert_no_child_left()
+
+    def corpus(self, files):
+        """``equiv`` runs reaching each outcome, and the witness path of the first."""
+        write, tmp = files
+        left, right = self.pairs()[3]
+        ok = write("ok.wnfa", serialize_wnfa(left) + PAD)
+        q = write("q.wnfa", serialize_wnfa(right) + PAD)
+        other = write("other.wnfa", serialize_wnfa(gen_random_wheeler(300, 2, 3, 6)) + PAD)
+        malformed = write("malformed.wnfa", INPUTS["malformed"])
+        invalid = write("invalid.wnfa", INPUTS["invalid"])
+        witness = tmp / "w.rel"
+        return [
+            ["equiv", ok, q, "--witness", str(witness)],
+            ["equiv", q, ok],
+            ["equiv", ok, other],
+            ["equiv", ok, invalid],
+            ["equiv", ok, malformed],
+            ["equiv", invalid, malformed],
+            ["equiv", malformed, ok],
+        ], witness
+
+    def answers(self, corpus, witness, capsys):
+        answers = [run_main(argv, capsys) for argv in corpus]
+        answers.append(witness.read_text())
+        witness.unlink()
+        return answers
+
+    def count_forks(self, monkeypatch, child_exits_at_once):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid == 0 and child_exits_at_once:
+                os._exit(0)
+            if pid != 0:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_one_child_when_both_inputs_are_long(self, files, capsys, monkeypatch):
+        write, _ = files
+        corpus, _ = self.corpus(files)
+        forks = self.count_forks(monkeypatch, False)
+        for argv in corpus:
+            run_main(argv, capsys)
+        assert len(forks) == len(corpus)
+        # a short input on either side, or an unreadable second one: no child
+        long, short = corpus[0][1], write("short.wnfa", CHAIN3)
+        assert run_main(["equiv", long, short], capsys)[0] == 1
+        assert run_main(["equiv", short, long], capsys)[0] == 1
+        assert run_main(["equiv", long, "missing.wnfa"], capsys)[0] == 2
+        assert len(forks) == len(corpus)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["fork-fails", "no-fork", "child-sends-nothing"])
+    def test_in_process_fallback(self, files, capsys, monkeypatch, how):
+        corpus, witness = self.corpus(files)
+        expected = self.answers(corpus, witness, capsys)
+        if how == "fork-fails":
+            def refuse():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", refuse)
+        elif how == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            forks = self.count_forks(monkeypatch, True)
+        assert self.answers(corpus, witness, capsys) == expected
+        if how == "child-sends-nothing":
+            assert len(forks) == len(corpus)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("path", ["first-malformed", "interrupt", "error"])
+    def test_a_running_child_is_killed_and_reaped(self, files, capsys, monkeypatch, path):
+        # the child hangs in its parse, so only a kill ends it in time
+        parent = os.getpid()
+        parse = equiv_command.parse_wnfa
+
+        def parse_or_hang(text):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif path == "interrupt":
+                raise KeyboardInterrupt
+            elif path == "error":
+                raise RuntimeError("the parent's side failed")
+            return parse(text)
+
+        monkeypatch.setattr(equiv_command, "parse_wnfa", parse_or_hang)
+        a, b = self.paths(files, "malformed" if path == "first-malformed" else "ok", "ok")
+        raised = {"first-malformed": SystemExit, "interrupt": KeyboardInterrupt}
+        start = time.monotonic()
+        with pytest.raises(raised.get(path, RuntimeError)):
+            main(["equiv", a, b])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+        err = capsys.readouterr().err
+        assert err == (equiv_message("malformed", a) if path == "first-malformed" else "")
+
+
 class TestCheckRelationCommand:
     def fixture_paths(self, files):
         write, _ = files
@@ -334,6 +564,8 @@ class TestUnreadableInput:
 def exit_with_closed(argv, fds, stderr=subprocess.PIPE):
     """Run the CLI with ``fds`` closed; a process started so sees those streams as None.
 
+    The streams are buffered, as by default: a failed write leaves its bytes
+    in the buffer, for the interpreter's final flush to fail on again.
     Returns the exit code, stdout and stderr (None unless ``stderr`` is a pipe).
     """
     launch = (
@@ -342,9 +574,11 @@ def exit_with_closed(argv, fds, stderr=subprocess.PIPE):
         "    os.close(fd)\n"
         f"os.execv(sys.executable, [sys.executable, '-m', 'wnfa.cli', *{argv!r}])\n"
     )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(
         [sys.executable, "-c", launch],
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=env,
         stdout=subprocess.PIPE,
         stderr=stderr,
         text=True,
@@ -433,12 +667,17 @@ class TestUnwritableDiagnostics:
             (["validate", "{missing}"], 2),
             (["minimize", "{u}"], 1),
             (["equiv", "{u}", "{u}"], 2),
+            (["equiv", "{a}", "{u}"], 2),
+            (["equiv", "{a}", "{missing}"], 2),
             (["check-relation", "{a}", "{a}", "{r}", "--standard"], 2),
             (["gen", "chain", "2"], 2),
             (["--dev", "oracle", "{a}", "--cap", "2"], 2),
             (["gen", "chain", "x"], 2),
         ],
-        ids=["write", "load", "minimize", "equiv", "check-relation", "gen", "dev-oracle", "usage"],
+        ids=[
+            "write", "load", "minimize", "equiv", "equiv-second-invalid", "equiv-second-missing",
+            "check-relation", "gen", "dev-oracle", "usage",
+        ],
     )
     def test_exit_code_and_stdout_unchanged(self, files, argv, code, stderr):
         write, tmp = files
@@ -674,6 +913,8 @@ class TestStartup:
         added = set(out.split())
         assert "wnfa.cli" in added
         assert not added & {"dataclasses", "inspect", "logging", "wnfa.reference"}
+        # only equiv imports its fork and pipe code
+        assert "wnfa.equiv_command" not in added
 
     def test_import_leaves_the_collector_on(self):
         code = "import gc, wnfa, wnfa.cli\nprint(gc.isenabled())\n"

@@ -122,6 +122,25 @@ class TestOrderRespectingIso:
         e = build(("p", "q"), 2, [(1, 2, "p")], {2})
         assert not order_respecting_iso(a, e) and not order_respecting_iso(e, a)
 
+    def test_one_alphabet_agrees_with_translated_labels(self):
+        # one more token makes the alphabets differ, so labels go through translation
+        rng = random.Random(12)
+        seen = {True: 0, False: 0}
+        for _ in range(300):
+            a = gen_random_wheeler(rng.randint(1, 30), 2, rng.randint(1, 3), rng.randrange(2**30))
+            edges = set(a.edges)
+            if a.edges and rng.random() < 0.7:
+                edges.discard(rng.choice(a.edges))
+                edges.add((rng.randint(1, a.n), rng.randint(1, a.n), rng.randrange(len(a.alphabet))))
+            same = WheelerNfa(a.n, a.alphabet, tuple(edges), a.finals)
+            wider = OrderedAlphabet(a.alphabet.symbols + ("zz",))
+            other = WheelerNfa(a.n, wider, tuple(edges), a.finals)
+            expected = edges == set(a.edges)
+            assert order_respecting_iso(a, same) == expected == order_respecting_iso(a, other)
+            assert order_respecting_iso(same, a) == expected == order_respecting_iso(other, a)
+            seen[expected] += 1
+        assert min(seen.values()) >= 50, seen
+
 
 class TestWheelerBisimilar:
     def test_chains_of_different_length_are_not_bisimilar(self):

@@ -300,6 +300,9 @@ class TestQuotient:
             for bits in candidates:
                 got = outcome(quotient, a, bits)
                 assert got == outcome(reference_quotient, a, bits)
+                if bits.n == a.n and all(bits.bits):
+                    # all ones: nothing merges, and the input is its own quotient
+                    assert got.quotient is a
                 if isinstance(got, str):
                     seen["size" if "covers" in got else "non-deterministic"] += 1
                     continue
