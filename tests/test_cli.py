@@ -38,6 +38,8 @@ def files(tmp_path):
 
 CHAIN3 = "alphabet a\nstates 3\nfinal 1 3\nedge 1 1 a\nedge 1 2 a\nedge 2 3 a\n"
 IDENTITY3 = "relation 3 3\npair 1 1\npair 2 2\npair 3 3\n"
+# an input whose state 3 is neither reachable nor co-reachable
+UNREACHABLE = "alphabet a\nstates 3\nfinal 2\nedge 1 2 a\n"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -208,7 +210,7 @@ PAD = "#" * equiv_command._FORK_MIN_CHARS + "\n"
 INPUTS = {
     "ok": CHAIN3 + PAD,
     "malformed": "alphabet a\nstates x\n" + PAD,
-    "invalid": "alphabet a\nstates 3\nfinal 2\nedge 1 2 a\n" + PAD,
+    "invalid": UNREACHABLE + PAD,
 }
 
 
@@ -650,8 +652,6 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == ("", f"{tmp}: {message}\n")
 
 
-# an input whose state 3 is neither reachable nor co-reachable
-UNREACHABLE = "alphabet a\nstates 3\nfinal 2\nedge 1 2 a\n"
 FULL = "/dev/full"
 
 
