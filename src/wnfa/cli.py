@@ -9,12 +9,16 @@ is closed or its reader has gone, exits 2 as well.  :func:`_fail` drops a
 diagnostic that cannot reach standard error, without changing the exit
 code.  Every path argument accepts ``-`` for the standard streams.
 
-``equiv`` prepares its second input in one forked child while this
-process prepares the first, and reports exactly what a sequential run
-would; it reaps the child on every exit path, and prepares that input
-itself when fork is missing or fails, when the child sends no complete
-result, or when an input is too small to gain from a child.  There is no
-option for any of this; :mod:`wnfa.equiv_command` has the details.
+``minimize`` and ``equiv`` each run part of their work in one forked
+child, and report exactly what a sequential run would.  ``minimize``
+parses its input, then validates it in the child while this process
+minimizes it and builds every output text; it writes nothing until the
+child reports the input valid.  ``equiv`` prepares its second input in the
+child while this process prepares the first.  Each reaps its child on every
+exit path, and does the child's part itself when fork is missing or fails,
+when the child sends no complete result, or when an input is too small to
+gain from a child.  There is no option for any of this; :mod:`wnfa.forked`
+has the details.
 
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
@@ -34,10 +38,22 @@ import gc
 import os
 import sys
 
-from .automaton import ParseError, parse_wnfa, serialize_wnfa, to_dot, validate
+from .automaton import (
+    OrderedAlphabet,
+    ParseError,
+    WheelerNfa,
+    parse_wnfa,
+    serialize_wnfa,
+    to_dot,
+    validate,
+)
+from .equivalence import compare_minimized
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
-from .minimize import boundary_bits, format_trace, quotient
-from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation
+from .minimize import QuotientResult, boundary_bits, format_trace, minimize, quotient
+from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation, serialize_relation
+
+# How far :func:`_prepare` got with one input of ``equiv``
+_MALFORMED, _INVALID, _MINIMIZED = range(3)
 
 
 def _read(path: str) -> str:
@@ -124,26 +140,103 @@ def cmd_validate(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    a = _load(args.input)
-    report = validate(a)
-    if not report.ok:
-        return _fail(report.describe(a), 1)
-    trace: list | None = [] if args.trace else None
-    result = quotient(a, boundary_bits(a, trace))
-    _write(args.output, serialize_wnfa(result.quotient))
-    _write(args.class_map, _class_lines(result.class_map))
-    if args.trace:
-        _write(args.trace, format_trace(trace))
-    if args.dot:
-        _write(args.dot, to_dot(result.quotient))
+    # imported here, so that only minimize and equiv compile the fork code
+    from .forked import beside
+
+    text = _text(args.input)
+    a, chars = _parse(args.input, text), len(text)
+    del text  # held on, it would add its size to the peak memory
+
+    def violations():
+        report = validate(a)
+        return None if report.ok else report.describe(a)
+
+    def outputs():
+        """(path, text) for each output, or the ValueError of an invalid input."""
+        trace: list | None = [] if args.trace else None
+        try:
+            result = quotient(a, boundary_bits(a, trace))
+        except ValueError as exc:
+            return exc
+        texts = [
+            (args.output, serialize_wnfa(result.quotient)),
+            (args.class_map, _class_lines(result.class_map)),
+        ]
+        if args.trace:
+            texts.append((args.trace, format_trace(trace)))
+        if args.dot:
+            texts.append((args.dot, to_dot(result.quotient)))
+        return texts
+
+    report, texts = beside(violations, outputs, chars)
+    if report is not None:
+        return _fail(report, 1)
+    if isinstance(texts, ValueError):
+        raise texts  # a valid input: the fault is the program's
+    for path, out in texts:
+        _write(path, out)
     return 0
 
 
-def cmd_equiv(args) -> int:
-    # imported here, so that only equiv compiles its fork and pipe code
-    from .equiv_command import cmd_equiv as run
+def _prepare(path: str, text: str) -> tuple:
+    """Parse, validate and minimize one input of ``equiv``, up to its first failure.
 
-    return run(args)
+    Returns ``(_MALFORMED, message)``, ``(_INVALID, message)`` or
+    ``(_MINIMIZED, (n, symbols, edges, finals, class_map))``, the quotient
+    and class map as data ``marshal`` can send.  It writes nothing, so a
+    child can run it.
+    """
+    try:
+        a = parse_wnfa(text)
+    except ParseError as exc:
+        return _MALFORMED, f"{path}: {exc}"
+    report = validate(a)
+    if not report.ok:
+        return _INVALID, f"{path}:\n{report.describe(a)}"
+    result = minimize(a)
+    q = result.quotient
+    return _MINIMIZED, (q.n, q.alphabet.symbols, q.edges, q.finals, result.class_map)
+
+
+def _minimized(value: tuple) -> QuotientResult:
+    """The :class:`QuotientResult` that :func:`_prepare` sent as ``value``."""
+    n, symbols, edges, finals, class_map = value
+    q = WheelerNfa._from_canonical(n, OrderedAlphabet(symbols), edges, finals)
+    return QuotientResult(q, class_map)
+
+
+def cmd_equiv(args) -> int:
+    from .forked import beside
+
+    text_a = _text(args.a)
+    try:
+        text_b = _read(args.b)
+    except (OSError, UnicodeDecodeError) as exc:
+        _parse(args.a, text_a)  # A's parse error is reported ahead of B's read error
+        raise SystemExit(_fail(f"{args.b}: {exc}")) from None
+
+    def prepare_a():
+        side = _prepare(args.a, text_a)
+        if side[0] == _MALFORMED:
+            raise SystemExit(_fail(side[1]))
+        return side
+
+    def prepare_b():
+        return _prepare(args.b, text_b)
+
+    side_b, side_a = beside(prepare_b, prepare_a, min(len(text_a), len(text_b)))
+    if side_b[0] == _MALFORMED:
+        raise SystemExit(_fail(side_b[1]))
+    for kind, value in (side_a, side_b):
+        if kind == _INVALID:
+            return _fail(value)
+    verdict = compare_minimized(_minimized(side_a[1]), _minimized(side_b[1]))
+    _write(None, verdict.reason + "\n")
+    if verdict.bisimilar:
+        if args.witness:
+            _write(args.witness, serialize_relation(verdict.witness))
+        return 0
+    return 1
 
 
 def cmd_check_relation(args) -> int:

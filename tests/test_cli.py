@@ -10,17 +10,21 @@ from pathlib import Path
 import pytest
 
 from wnfa import (
+    boundary_bits,
+    format_trace,
     gen_chain,
     gen_distinctness,
     gen_random_wheeler,
     minimize,
     parse_wnfa,
+    quotient,
     serialize_relation,
     serialize_wnfa,
+    to_dot,
     validate,
     wheeler_bisimilar,
 )
-from wnfa import cli, equiv_command
+from wnfa import cli, forked
 from wnfa.cli import main
 
 from conftest import build, unorderable_three_state
@@ -205,8 +209,38 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# a trailing comment line long enough that `equiv` prepares the second input in a child
-PAD = "#" * equiv_command._FORK_MIN_CHARS + "\n"
+def count_forks(monkeypatch, child_exits_at_once):
+    """The pids of the children forked from now on; each exits at once, unsent, if asked."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid == 0 and child_exits_at_once:
+            os._exit(0)
+        if pid != 0:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def break_fork(monkeypatch, how):
+    """Make each fork from now on fail, be missing, or give a child that sends nothing."""
+    if how == "fork-fails":
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+    elif how == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        return count_forks(monkeypatch, True)
+
+
+# a trailing comment line long enough that `minimize` and `equiv` fork a child
+PAD = "#" * forked._FORK_MIN_CHARS + "\n"
 INPUTS = {
     "ok": CHAIN3 + PAD,
     "malformed": "alphabet a\nstates x\n" + PAD,
@@ -344,25 +378,10 @@ class TestEquivSides:
         witness.unlink()
         return answers
 
-    def count_forks(self, monkeypatch, child_exits_at_once):
-        forks = []
-        fork = os.fork
-
-        def counted():
-            pid = fork()
-            if pid == 0 and child_exits_at_once:
-                os._exit(0)
-            if pid != 0:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        return forks
-
     def test_one_child_when_both_inputs_are_long(self, files, capsys, monkeypatch):
         write, _ = files
         corpus, _ = self.corpus(files)
-        forks = self.count_forks(monkeypatch, False)
+        forks = count_forks(monkeypatch, False)
         for argv in corpus:
             run_main(argv, capsys)
         assert len(forks) == len(corpus)
@@ -378,15 +397,7 @@ class TestEquivSides:
     def test_in_process_fallback(self, files, capsys, monkeypatch, how):
         corpus, witness = self.corpus(files)
         expected = self.answers(corpus, witness, capsys)
-        if how == "fork-fails":
-            def refuse():
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-            monkeypatch.setattr(os, "fork", refuse)
-        elif how == "no-fork":
-            monkeypatch.delattr(os, "fork")
-        else:
-            forks = self.count_forks(monkeypatch, True)
+        forks = break_fork(monkeypatch, how)
         assert self.answers(corpus, witness, capsys) == expected
         if how == "child-sends-nothing":
             assert len(forks) == len(corpus)
@@ -396,7 +407,7 @@ class TestEquivSides:
     def test_a_running_child_is_killed_and_reaped(self, files, capsys, monkeypatch, path):
         # the child hangs in its parse, so only a kill ends it in time
         parent = os.getpid()
-        parse = equiv_command.parse_wnfa
+        parse = cli.parse_wnfa
 
         def parse_or_hang(text):
             if os.getpid() != parent:
@@ -407,7 +418,7 @@ class TestEquivSides:
                 raise RuntimeError("the parent's side failed")
             return parse(text)
 
-        monkeypatch.setattr(equiv_command, "parse_wnfa", parse_or_hang)
+        monkeypatch.setattr(cli, "parse_wnfa", parse_or_hang)
         a, b = self.paths(files, "malformed" if path == "first-malformed" else "ok", "ok")
         raised = {"first-malformed": SystemExit, "interrupt": KeyboardInterrupt}
         start = time.monotonic()
@@ -417,6 +428,143 @@ class TestEquivSides:
         assert_no_child_left()
         err = capsys.readouterr().err
         assert err == (equiv_message("malformed", a) if path == "first-malformed" else "")
+
+
+# A DFA that breaks Axiom 3 (and reachability) on which quotient(a,
+# boundary_bits(a)) raises ValueError: it went non-deterministic
+CROSSING_DFA = (
+    "alphabet a b\nstates 6\nfinal 2\n"
+    "edge 1 4 a\nedge 2 5 a\nedge 2 6 b\nedge 3 6 b\nedge 4 5 b\nedge 5 3 a\n"
+)
+MINIMIZE_OUTPUTS = ("q.wnfa", "m.txt", "t.tsv", "d.dot")
+
+
+class TestMinimizeSides:
+    """`minimize` validates in a forked child: the same answers, no output for an invalid input."""
+
+    def test_invalid_input_writes_nothing(self, files, capsys):
+        write, tmp = files
+        a = parse_wnfa(CROSSING_DFA)
+        with pytest.raises(ValueError, match="went non-deterministic"):
+            quotient(a, boundary_bits(a))
+        out, cmap = tmp / "q.wnfa", tmp / "m.txt"
+        path = write("x.wnfa", CROSSING_DFA + PAD)
+        argv = ["minimize", path, "-o", str(out), "--class-map", str(cmap)]
+        assert run_main(argv, capsys) == (1, "", validate(a).describe(a) + "\n")
+        assert not out.exists() and not cmap.exists()
+        assert_no_child_left()
+
+    def corpus(self, files):
+        """(argv, the document it minimizes, whether it writes files) per run, padded or not."""
+        write, tmp = files
+        documents = {
+            "merging": serialize_wnfa(gen_random_wheeler(300, 2, 3, 5)),
+            "distinctness": serialize_wnfa(gen_distinctness("abb")),
+            "crossing": CROSSING_DFA,
+            "unreachable": UNREACHABLE,
+        }
+        to_files = ["-o", "q.wnfa", "--class-map", "m.txt", "--trace", "t.tsv", "--dot", "d.dot"]
+        runs = []
+        for name, doc in documents.items():
+            for pad in ("", PAD):
+                path = write(f"{name}{len(pad)}.wnfa", doc + pad)
+                runs.append((["minimize", path], doc, False))
+                argv = ["minimize", path, *(str(tmp / a) if "." in a else a for a in to_files)]
+                runs.append((argv, doc, True))
+                runs.append((["minimize", path, "--trace", "-"], doc, False))
+        return runs
+
+    def sequential(self, doc, to_files, trace_to_stdout):
+        """What validating, then minimizing, then writing each output gives for ``doc``."""
+        a = parse_wnfa(doc)
+        report = validate(a)
+        if not report.ok:
+            return (1, "", report.describe(a) + "\n"), (None,) * 4
+        trace = []
+        result = quotient(a, boundary_bits(a, trace))
+        texts = (
+            serialize_wnfa(result.quotient),
+            "".join(f"class {p} {c}\n" for p, c in enumerate(result.class_map, 1)),
+            format_trace(trace),
+            to_dot(result.quotient),
+        )
+        if to_files:
+            return (0, "", ""), texts
+        out = texts[0] + texts[1] + (texts[2] if trace_to_stdout else "")
+        return (0, out, ""), (None,) * 4
+
+    def answers(self, runs, files, capsys):
+        """Each run's exit code, stdout and stderr, and the text of each output file."""
+        _, tmp = files
+        answers = []
+        for argv, _, _ in runs:
+            answer = run_main(argv, capsys)
+            written = []
+            for name in MINIMIZE_OUTPUTS:
+                path = tmp / name
+                written.append(path.read_text() if path.exists() else None)
+                path.unlink(missing_ok=True)
+            answers.append((answer, tuple(written)))
+        return answers
+
+    def expected(self, runs):
+        return [self.sequential(doc, to_files, "-" in argv) for argv, doc, to_files in runs]
+
+    def test_one_child_per_long_input(self, files, capsys, monkeypatch):
+        runs = self.corpus(files)
+        forks = count_forks(monkeypatch, False)
+        assert self.answers(runs, files, capsys) == self.expected(runs)
+        assert len(forks) == len(runs) // 2  # the padded half
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["fork-fails", "no-fork", "child-sends-nothing"])
+    def test_in_process_fallback(self, files, capsys, monkeypatch, how):
+        runs = self.corpus(files)
+        forks = break_fork(monkeypatch, how)
+        assert self.answers(runs, files, capsys) == self.expected(runs)
+        if how == "child-sends-nothing":
+            assert len(forks) == len(runs) // 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("pad", ["", PAD], ids=["short", "long"])
+    def test_a_value_error_from_a_valid_input_is_raised(self, files, capsys, monkeypatch, pad):
+        write, tmp = files
+
+        def fault(a, bits):
+            raise ValueError("a fault in quotient")
+
+        monkeypatch.setattr(cli, "quotient", fault)
+        out = tmp / "q.wnfa"
+        with pytest.raises(ValueError, match="a fault in quotient"):
+            main(["minimize", write("ok.wnfa", CHAIN3 + pad), "-o", str(out)])
+        assert capsys.readouterr() == ("", "") and not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("path", ["interrupt", "error"])
+    def test_a_running_child_is_killed_and_reaped(self, files, capsys, monkeypatch, path):
+        # the child hangs in its validation, so only a kill ends it in time
+        write, tmp = files
+        parent = os.getpid()
+
+        def validate_or_hang(a):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return validate(a)
+
+        def fail(a, trace=None):
+            if path == "interrupt":
+                raise KeyboardInterrupt
+            raise RuntimeError("the parent's side failed")
+
+        monkeypatch.setattr(cli, "validate", validate_or_hang)
+        monkeypatch.setattr(cli, "boundary_bits", fail)
+        out = tmp / "q.wnfa"
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt if path == "interrupt" else RuntimeError):
+            main(["minimize", write("ok.wnfa", INPUTS["ok"]), "-o", str(out)])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+        assert capsys.readouterr() == ("", "") and not out.exists()
 
 
 class TestCheckRelationCommand:
@@ -913,8 +1061,27 @@ class TestStartup:
         added = set(out.split())
         assert "wnfa.cli" in added
         assert not added & {"dataclasses", "inspect", "logging", "wnfa.reference"}
-        # only equiv imports its fork and pipe code
-        assert "wnfa.equiv_command" not in added
+        # only minimize and equiv import the fork and pipe code
+        assert "wnfa.forked" not in added
+
+    @pytest.mark.parametrize("command", ["minimize", "equiv"])
+    def test_cli_runs_once_under_dash_m(self, files, command):
+        # a command module that imported wnfa.cli would run cli.py a second time
+        write, _ = files
+        path = write("ok.wnfa", INPUTS["ok"])
+        argv = [sys.executable, "-X", "importtime", "-m", "wnfa.cli", command, path]
+        if command == "equiv":
+            argv.append(path)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        imported = [
+            line.rsplit("|", 1)[1].strip()
+            for line in run.stderr.splitlines()
+            if line.startswith("import time:")
+        ]
+        assert "wnfa.forked" in imported
+        assert "wnfa.cli" not in imported
 
     def test_import_leaves_the_collector_on(self):
         code = "import gc, wnfa, wnfa.cli\nprint(gc.isenabled())\n"

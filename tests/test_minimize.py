@@ -312,6 +312,32 @@ class TestQuotient:
         assert seen["equal"] >= 1000 and seen["non-deterministic"] >= 100, seen
         assert seen["size"] == 6, seen
 
+    def test_invalid_inputs_raise_only_value_error(self):
+        # `wnfa minimize` runs boundary_bits and quotient before it knows the
+        # input is valid, and keeps a ValueError for the report to replace
+        rng = random.Random(15)
+        seen = {"nfa": 0, "dfa": 0, "ValueError": 0}
+        while seen["nfa"] + seen["dfa"] < 2000:
+            n, sigma = rng.randint(1, 6), rng.randint(1, 3)
+            deterministic = rng.random() < 0.5
+            edges = set()
+            for u in range(1, n + 1):
+                for lab in range(sigma):
+                    targets = range(1, n + 1)
+                    k = rng.randint(0, 1 if deterministic else n)
+                    edges.update((u, v, "abc"[lab]) for v in rng.sample(targets, k))
+            finals = {v for v in range(1, n + 1) if rng.random() < 0.3}
+            a = build("abc"[:sigma], n, sorted(edges), finals)
+            if validate(a).ok:
+                continue
+            seen["dfa" if deterministic else "nfa"] += 1
+            try:
+                quotient(a, boundary_bits(a))
+            except ValueError as exc:
+                assert "non-deterministic" in str(exc)
+                seen["ValueError"] += 1
+        assert min(seen.values()) >= 25, seen
+
     def test_class_map_is_monotone_and_onto(self):
         rng = random.Random(41)
         for _ in range(50):
