@@ -417,9 +417,7 @@ def parse_wnfa(text: str) -> WheelerNfa:
 
     An edge line after the final line with two in-range indices and a known
     symbol costs one ``int()`` per index and one rank lookup; any other edge
-    line is rechecked in full to name its error.  A final line costs one
-    ``int()`` per index and one ``min`` and ``max``; only a line with a bad
-    index is rechecked index by index.  While each edge is strictly
+    line is rechecked in full to name its error.  While each edge is strictly
     greater than the one before it in (source, label, target) order, as
     :func:`serialize_wnfa` writes them, no duplicate can occur, so no
     duplicate set is kept and no sort is needed.  The first edge out of that
@@ -480,19 +478,11 @@ def parse_wnfa(text: str) -> WheelerNfa:
                 raise _error("final line before states line", lineno, line)
             if finals is not None:
                 raise _error("repeated final line", lineno, line)
-            try:
-                # a set, which frozenset copies into a table sized for it:
-                # built from a list, the table of 20,000 finals took 2 MB, not 1
-                acc = set(map(int, toks[1:]))
-                fast = not acc or 1 <= min(acc) and max(acc) <= n
-            except ValueError:
-                fast = False
-            if not fast:
-                # raises at the first bad index: each one parses and is
-                # range-checked before the next one parses
-                for k in range(1, len(toks)):
-                    i = _parse_int("state index", lineno, line, toks, k)
-                    _check_range("state index", i, n, lineno, line, k)
+            acc = set()
+            for k in range(1, len(toks)):
+                i = _parse_int("state index", lineno, line, toks, k)
+                _check_range("state index", i, n, lineno, line, k)
+                acc.add(i)
             finals = frozenset(acc)
         elif kw == "initial":
             raise _error(

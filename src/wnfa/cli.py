@@ -12,13 +12,13 @@ code.  Every path argument accepts ``-`` for the standard streams.
 ``minimize`` and ``equiv`` each run part of their work in one forked
 child, and report exactly what a sequential run would.  ``minimize``
 parses its input, then validates it in the child while this process
-minimizes it and builds every output text; it writes nothing until the
-child reports the input valid.  ``equiv`` prepares its second input in the
-child while this process prepares the first.  Each reaps its child on every
-exit path, and does the child's part itself when fork is missing or fails,
-when the child sends no complete result, or when an input is too small to
-gain from a child.  There is no option for any of this; :mod:`wnfa.forked`
-has the details.
+minimizes it; it builds and writes each output text only once the child
+reports the input valid.  ``equiv`` prepares its second input in the child
+while this process prepares the first.  Each reaps its child on every exit
+path, and does the child's part itself when fork is missing or fails, when
+the child sends no complete result, or when an input is too small to gain
+from a child; ``minimize`` then validates before it minimizes.  There is no
+option for any of this; :mod:`wnfa.forked` has the details.
 
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
@@ -54,6 +54,20 @@ from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation,
 
 # How far :func:`_prepare` got with one input of ``equiv``
 _MALFORMED, _INVALID, _MINIMIZED = range(3)
+
+# Each command forks a child only for an input at least this long: below
+# it, the fork, the child's exit and the copy-on-write faults the fork
+# brings this process cost more than the child saves (2-core host, CPython
+# 3.11, medians of 40 runs; `fork_threshold` in `BENCH_14.json` for `equiv`
+# and in `BENCH_15.json` for `minimize`).  An `equiv` child
+# parses, validates and minimizes the second input: beside first inputs of
+# 393,000 to 559,000 characters it cost 16 ms for a 481-character second
+# input, saved nothing for 23,000 characters, and saved 11 ms for 63,000.
+# A `minimize` child only validates: it cost 2 ms from 7,700 to 33,800
+# characters (faster in at most 9 of 40 pairs), was even at 64,800, and
+# saved 5 ms at 102,000 and 6 ms at 260,000 (faster in 31 of 40).
+_EQUIV_FORK_MIN_CHARS = 1 << 15
+_MINIMIZE_FORK_MIN_CHARS = 1 << 16
 
 
 def _read(path: str) -> str:
@@ -151,30 +165,32 @@ def cmd_minimize(args) -> int:
         report = validate(a)
         return None if report.ok else report.describe(a)
 
-    def outputs():
-        """(path, text) for each output, or the ValueError of an invalid input."""
+    def minimized():
+        """The quotient, the trace and the texts every run writes, or the
+        ValueError of an invalid input."""
         trace: list | None = [] if args.trace else None
         try:
             result = quotient(a, boundary_bits(a, trace))
         except ValueError as exc:
             return exc
-        texts = [
-            (args.output, serialize_wnfa(result.quotient)),
-            (args.class_map, _class_lines(result.class_map)),
-        ]
-        if args.trace:
-            texts.append((args.trace, format_trace(trace)))
-        if args.dot:
-            texts.append((args.dot, to_dot(result.quotient)))
-        return texts
+        return result, trace, serialize_wnfa(result.quotient), _class_lines(result.class_map)
 
-    report, texts = beside(violations, outputs, chars)
+    fork = chars >= _MINIMIZE_FORK_MIN_CHARS
+    report, done = beside(violations, minimized, fork, check_first=True)
     if report is not None:
         return _fail(report, 1)
-    if isinstance(texts, ValueError):
-        raise texts  # a valid input: the fault is the program's
-    for path, out in texts:
-        _write(path, out)
+    if isinstance(done, ValueError):
+        raise done  # a valid input: the fault is the program's
+    result, trace, document, classes = done
+    del done
+    _write(args.output, document)
+    _write(args.class_map, classes)
+    # the optional texts are built only once those two are freed
+    del document, classes
+    if args.trace:
+        _write(args.trace, format_trace(trace))
+    if args.dot:
+        _write(args.dot, to_dot(result.quotient))
     return 0
 
 
@@ -224,7 +240,8 @@ def cmd_equiv(args) -> int:
     def prepare_b():
         return _prepare(args.b, text_b)
 
-    side_b, side_a = beside(prepare_b, prepare_a, min(len(text_a), len(text_b)))
+    fork = min(len(text_a), len(text_b)) >= _EQUIV_FORK_MIN_CHARS
+    side_b, side_a = beside(prepare_b, prepare_a, fork)
     if side_b[0] == _MALFORMED:
         raise SystemExit(_fail(side_b[1]))
     for kind, value in (side_a, side_b):

@@ -22,28 +22,26 @@ from __future__ import annotations
 import marshal
 import os
 
-# Fork only for a text at least this long.  On a 2-core host under CPython
-# 3.11, against first inputs of 393,000 to 559,000 characters, a child cost
-# 16 ms for a 481-character second input, saved nothing for 23,000
-# characters, and saved 11 ms for 63,000 and 17 ms for 90,600 (medians of
-# 40 runs each): the fork, and the copy-on-write faults it brings this
-# process, cost more than a small input takes.
-_FORK_MIN_CHARS = 1 << 15
 # POSIX fixes its number; the signal module would be one more import
 _SIGKILL = 9
 
 
-def beside(child_work, own_work, chars: int) -> tuple:
+def beside(child_work, own_work, fork: bool, check_first: bool = False) -> tuple:
     """``(child_work(), own_work())``, the first from a forked child.
 
-    A child is forked only when ``chars``, the size of the text the work
-    reads, is at least :data:`_FORK_MIN_CHARS`.  ``child_work`` must write
-    nothing and return a value ``marshal`` can send.  When no child is
-    forked, when fork is missing or fails, and when the child sends no
-    complete result, ``child_work`` runs here after ``own_work``; it never
-    runs when ``own_work`` raises.
+    A child is forked only when ``fork`` is true: each command forks for an
+    input long enough to gain from it.  ``child_work`` must write nothing
+    and return a value ``marshal`` can send.  When no child is forked, or
+    fork is missing or fails, both run here: ``own_work`` first, or, with
+    ``check_first``, ``child_work`` first and ``own_work`` only if that
+    returned None (its value is then None too).  When the child sends no
+    complete result, ``child_work`` runs here after ``own_work``.  Once a
+    child is forked, ``child_work`` never runs here if ``own_work`` raises.
     """
-    child = _fork(child_work) if chars >= _FORK_MIN_CHARS else None
+    child = _fork(child_work) if fork else None
+    if child is None and check_first:
+        checked = child_work()
+        return checked, (own_work() if checked is None else None)
     received = None
     try:
         own = own_work()

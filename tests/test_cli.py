@@ -24,7 +24,7 @@ from wnfa import (
     validate,
     wheeler_bisimilar,
 )
-from wnfa import cli, forked
+from wnfa import cli
 from wnfa.cli import main
 
 from conftest import build, unorderable_three_state
@@ -240,7 +240,7 @@ def break_fork(monkeypatch, how):
 
 
 # a trailing comment line long enough that `minimize` and `equiv` fork a child
-PAD = "#" * forked._FORK_MIN_CHARS + "\n"
+PAD = "#" * max(cli._EQUIV_FORK_MIN_CHARS, cli._MINIMIZE_FORK_MIN_CHARS) + "\n"
 INPUTS = {
     "ok": CHAIN3 + PAD,
     "malformed": "alphabet a\nstates x\n" + PAD,
@@ -516,6 +516,32 @@ class TestMinimizeSides:
         assert self.answers(runs, files, capsys) == self.expected(runs)
         assert len(forks) == len(runs) // 2  # the padded half
         assert_no_child_left()
+
+    def test_the_threshold_is_its_own(self, files, capsys, monkeypatch):
+        # long enough for an `equiv` child, too short for a `minimize` one
+        write, _ = files
+        pad = "#" * cli._EQUIV_FORK_MIN_CHARS + "\n"
+        assert len(CHAIN3 + pad) < cli._MINIMIZE_FORK_MIN_CHARS
+        path = write("ok.wnfa", CHAIN3 + pad)
+        forks = count_forks(monkeypatch, False)
+        assert run_main(["minimize", path], capsys)[0] == 0
+        assert forks == []
+        assert run_main(["minimize", write("long.wnfa", CHAIN3 + PAD)], capsys)[0] == 0
+        assert run_main(["equiv", path, path], capsys)[0] == 0
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("pad", ["", PAD], ids=["short", "no-fork"])
+    def test_in_process_an_invalid_input_is_not_minimized(self, files, capsys, monkeypatch, pad):
+        write, _ = files
+        if pad:
+            break_fork(monkeypatch, "no-fork")
+        calls = []
+        monkeypatch.setattr(cli, "boundary_bits", lambda a, trace=None: calls.append(a))
+        a = parse_wnfa(UNREACHABLE)
+        argv = ["minimize", write("u.wnfa", UNREACHABLE + pad)]
+        assert run_main(argv, capsys) == (1, "", validate(a).describe(a) + "\n")
+        assert calls == []
 
     @pytest.mark.parametrize("how", ["fork-fails", "no-fork", "child-sends-nothing"])
     def test_in_process_fallback(self, files, capsys, monkeypatch, how):
