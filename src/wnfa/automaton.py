@@ -16,8 +16,8 @@ import enum
 import re
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import groupby, pairwise
-from operator import itemgetter
+from itertools import groupby, islice, pairwise, repeat
+from operator import add, itemgetter, le, lt, mul
 from types import MappingProxyType
 from typing import NoReturn
 
@@ -293,12 +293,12 @@ def validate(a: WheelerNfa) -> ValidationReport:
     :func:`~wnfa.minimize.compute_extrema` keeps both ``a_min`` and
     ``a_max``.
 
-    Both axiom checks scan edges sorted by (label, target, source); a
-    violating pair exists iff one exists between order-adjacent entries of
-    that sorted sequence, so the checks cost O(|E| log |E|) instead of
-    comparing all pairs.  Duplicate edges are not checked here: the
-    constructor already rejects them.  An empty report means ``a`` is a
-    Wheeler NFA whose Wheeler order is the position order.
+    Both axioms are checked at once by one linear scan of the targets in
+    label order (:func:`_axioms_hold`).  Only when it fails are the edges
+    sorted by (label, target, source) to name each violating pair.
+    Duplicate edges are not checked here: the constructor already rejects
+    them.  An empty report means ``a`` is a Wheeler NFA whose Wheeler order
+    is the position order.
     """
     violations: list[Violation] = []
     # reachable from 1 = co-reachable to 1 over the reversed edges
@@ -306,16 +306,40 @@ def validate(a: WheelerNfa) -> ValidationReport:
     for u in range(1, a.n + 1):
         if u not in reach:
             violations.append(Violation(ViolationKind.NOT_REACHABLE, (u,)))
+    del reach
     co = _co_reachable(a.n, a.edges, a.finals)
     for u in range(1, a.n + 1):
         if u not in co:
             violations.append(Violation(ViolationKind.NOT_CO_REACHABLE, (u,)))
+    del co
+    if not _axioms_hold(a.edges):
+        violations += _axiom_violations(a.edges)
+    return ValidationReport(tuple(violations))
 
-    # (label, target, source) order: within a label block targets ascend, so
-    # Axiom 2 reduces to "targets never decrease across a label boundary" and
-    # Axiom 3 to "sources never decrease when the target strictly increases
-    # inside one block".
-    ordered = sorted(a.edges, key=itemgetter(2, 1, 0))
+
+def _axioms_hold(edges) -> bool:
+    """Whether canonically ordered ``edges`` satisfy Axioms 2 and 3.
+
+    Sorted stably by label alone, which compares small integers only, each
+    label block keeps the canonical (source, target) order.  Both axioms
+    hold iff the targets never decrease along that sequence: inside a block
+    this is Axiom 3, across a block boundary Axiom 2.
+    """
+    targets = list(map(itemgetter(1), sorted(edges, key=itemgetter(2))))
+    return all(map(le, targets, islice(targets, 1, None)))
+
+
+def _axiom_violations(edges) -> list[Violation]:
+    """Every Axiom 2 and Axiom 3 violation between order-adjacent edges.
+
+    In (label, target, source) order a violating pair exists iff one exists
+    between adjacent entries.  Within a label block targets ascend, so
+    Axiom 2 reduces to "targets never decrease across a label boundary" and
+    Axiom 3 to "sources never decrease when the target strictly increases
+    inside one block".
+    """
+    violations = []
+    ordered = sorted(edges, key=itemgetter(2, 1, 0))
     for e1, e2 in zip(ordered, ordered[1:]):
         u1, v1, a1 = e1
         u2, v2, a2 = e2
@@ -325,8 +349,7 @@ def validate(a: WheelerNfa) -> ValidationReport:
                 violations.append(Violation(ViolationKind.AXIOM2, (e2, e1)))
         elif v1 < v2 and u1 > u2:
             violations.append(Violation(ViolationKind.AXIOM3, (e1, e2)))
-
-    return ValidationReport(tuple(violations))
+    return violations
 
 
 def is_deterministic(a: WheelerNfa) -> bool:
@@ -414,6 +437,93 @@ def parse_wnfa(text: str) -> WheelerNfa:
     Raises :class:`ParseError` (with line and column) on syntax errors,
     unknown symbols, out-of-range state indices, duplicate edges, or a
     missing header.
+
+    A document shaped like :func:`serialize_wnfa`'s output is read by
+    columns: the three header lines (alphabet, states, final), then only
+    lines ``edge <src> <dst> <tok>`` with single spaces, a final newline,
+    in-range indices, known symbols (none named ``edge``), and edges
+    strictly ascending in (source, label, target) order.  Every other
+    document, and every error, goes to the line parser, so results and
+    errors do not depend on which path ran.
+    """
+    a = _parse_columns(text)
+    return _parse_lines(text) if a is None else a
+
+
+# characters of edge block that one column pass reads, cut at a newline
+_CHUNK = 1 << 16
+
+
+def _parse_columns(text: str) -> WheelerNfa | None:
+    """The automaton of a canonical document, or None for any other text.
+
+    The header goes through :func:`_parse_lines`.  The edge block is read in
+    place, about :data:`_CHUNK` characters at a time: one ``split`` per
+    chunk, ``int`` over the source and target columns, one rank lookup per
+    label, ``min``/``max`` for the ranges, and one strictly ascending check
+    over (source, label, target) keys, carried from chunk to chunk.
+
+    A chunk ends with a newline; say it has m of them.  It passes only with
+    4m tokens and exactly 3m spaces and m newlines of whitespace: as each
+    token is followed by whitespace, every run of it is one character, so no
+    line is blank or indented, and no other character ends a line.  Every
+    line starts with ``edge``, which is no index and, by the header check,
+    no symbol.  So the source, target and label columns (every fourth token
+    from the second, third and fourth on) fail on a line's first token
+    unless every line starts at a multiple of four tokens, that is, holds
+    four.  Then these are exactly the lines :func:`_parse_lines` would read.
+    """
+    end = 0
+    for _ in range(3):
+        end = text.find("\n", end) + 1
+        if not end:
+            return None
+    try:
+        head = _parse_lines(text[:end])
+    except ParseError:
+        return None
+    if head.edges or "edge" in head.alphabet:
+        return None
+    n, sigma = head.n, len(head.alphabet)
+    rank = head.alphabet.rank
+    edges: list[tuple[int, int, int]] = []
+    last = 0  # the key of the last edge read; every key is positive
+    while end < len(text):
+        stop = text.rfind("\n", end, end + _CHUNK) + 1 or text.find("\n", end) + 1
+        if not stop:
+            return None
+        chunk = text[end:stop]
+        end = stop
+        toks = chunk.split()
+        m = chunk.count("\n")
+        if (
+            len(toks) != 4 * m
+            or chunk.count(" ") != 3 * m
+            or len(chunk) - len("".join(toks)) != 4 * m
+            or toks[0] != "edge"
+            or chunk.count("\nedge ") != m - 1
+        ):
+            return None
+        try:
+            src = list(map(int, toks[1::4]))
+            dst = list(map(int, toks[2::4]))
+            lab = list(map(rank.__getitem__, toks[3::4]))
+        except (ValueError, KeyError):
+            return None
+        if min(src) < 1 or max(src) > n or min(dst) < 1 or max(dst) > n:
+            return None
+        # ((source * sigma) + label) * (n + 1) + target orders like the triple
+        keys = map(add, map(mul, src, repeat(sigma)), lab)
+        keys = list(map(add, map(mul, keys, repeat(n + 1)), dst))
+        if keys[0] <= last or not all(map(lt, keys, islice(keys, 1, None))):
+            return None
+        last = keys[-1]
+        edges += zip(src, dst, lab)
+    return WheelerNfa._from_canonical(n, head.alphabet, tuple(edges), head.finals)
+
+
+def _parse_lines(text: str) -> WheelerNfa:
+    """The line parser: any document, every error with its line and column.
 
     An edge line after the final line with two in-range indices and a known
     symbol costs one ``int()`` per index and one rank lookup; any other edge

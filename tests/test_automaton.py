@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wnfa import (
@@ -157,6 +159,37 @@ class TestValidate:
         report = validate(a)
         assert [v.kind.value for v in report.violations] == [text.split(":")[0]]
         assert report.describe(a) == text
+
+    def test_linear_axiom_check_matches_all_pairs(self):
+        # the one-scan verdict against the axioms stated over all edge pairs,
+        # and the reported violations against the sort-based scan run always
+        from wnfa.automaton import _axiom_violations, _axioms_hold
+
+        rng = random.Random(0xA23)
+        clean = violating = 0
+        for _ in range(20000):
+            n, sigma = rng.randint(1, 7), rng.randint(1, 3)
+            universe = [
+                (u, v, k) for u in range(1, n + 1) for v in range(1, n + 1) for k in range(sigma)
+            ]
+            edges = rng.sample(universe, rng.randint(0, min(len(universe), 6)))
+            a = WheelerNfa(n, OrderedAlphabet(("a", "b", "c")[:sigma]), tuple(edges), frozenset({n}))
+            holds = all(
+                (k >= k2 or v <= v2) and (k != k2 or u >= u2 or v <= v2)
+                for u, v, k in a.edges
+                for u2, v2, k2 in a.edges
+            )
+            assert _axioms_hold(a.edges) == holds, a
+            axioms = [
+                x for x in validate(a).violations
+                if x.kind in (ViolationKind.AXIOM2, ViolationKind.AXIOM3)
+            ]
+            assert axioms == _axiom_violations(a.edges)
+            assert (not axioms) == holds, a
+            clean += holds
+            violating += not holds
+        # 10,911 clean and 9,089 violating
+        assert min(clean, violating) >= 8000, (clean, violating)
 
 
 class TestAccepts:

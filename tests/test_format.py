@@ -6,8 +6,10 @@ from wnfa import (
     OrderedAlphabet,
     ParseError,
     WheelerNfa,
+    automaton,
     gen_chain,
     gen_distinctness,
+    gen_random_wheeler,
     parse_wnfa,
     serialize_wnfa,
     to_dot,
@@ -280,6 +282,148 @@ class TestEdgeFastPath:
             with pytest.raises(ValueError, match="duplicate edge"):
                 _constructed(doc)
         assert min(seen.values()) >= 1000, seen
+
+
+def _outcome(parse, doc):
+    """What ``parse`` makes of ``doc``: the automaton, or the error's place and text."""
+    try:
+        return parse(doc)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+@pytest.fixture
+def header_only(monkeypatch):
+    """Make the line parser fail on any text that holds an edge line."""
+    real = automaton._parse_lines
+
+    def parse_header(text):
+        assert "edge" not in text, "the line parser read edge lines"
+        return real(text)
+
+    monkeypatch.setattr(automaton, "_parse_lines", parse_header)
+
+
+class TestEdgeColumns:
+    # 40 states on 3 labels: about 80 edge lines, indices of one and two digits
+    A = gen_random_wheeler(40, 2, 3, 0xC01)
+    DOC = serialize_wnfa(A)
+    HEAD, EDGES = DOC.splitlines(keepends=True)[:3], DOC.splitlines(keepends=True)[3:]
+
+    def same_as_line_parser(self, doc):
+        expected = _outcome(automaton._parse_lines, doc)
+        assert _outcome(parse_wnfa, doc) == expected
+        return expected
+
+    def with_edges(self, edges):
+        return "".join(self.HEAD + edges)
+
+    def edited(self, k, lines, drop=1):
+        """:attr:`DOC` with ``drop`` edge lines from line k on replaced by ``lines``."""
+        return self.with_edges(self.EDGES[:k] + lines + self.EDGES[k + drop:])
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 40, 1])
+    def test_canonical_documents_skip_the_line_parser(self, header_only, monkeypatch, chunk):
+        monkeypatch.setattr(automaton, "_CHUNK", chunk)
+        for seed in range(20):
+            a = gen_random_wheeler(60, 2, 1 + seed % 4, seed, deterministic=seed % 2 == 0)
+            b = parse_wnfa(serialize_wnfa(a))
+            assert b == a and type(b.edges) is tuple
+        assert parse_wnfa(self.DOC) == self.A
+        assert parse_wnfa(serialize_wnfa(gen_chain(3))) == gen_chain(3)
+
+    def test_a_header_without_edges(self, header_only):
+        for doc in ("alphabet a\nstates 1\nfinal 1\n", "alphabet\nstates 2\nfinal\n"):
+            assert parse_wnfa(doc) == automaton._parse_lines(doc)
+
+    def perturbed(self):
+        """(name, document) pairs, each one edit away from :attr:`DOC`."""
+        e, mid = self.EDGES, len(self.EDGES) // 2
+        line, toks, nxt = e[mid], e[mid].split(), e[mid + 1].split()
+        yield "crlf", self.DOC.replace("\n", "\r\n")
+        yield "no final newline", self.DOC[:-1]
+        yield "header line ended by '\\x0b'", self.DOC.replace("\n", "\x0b", 1)
+        yield "blank line", self.edited(mid, ["\n", line])
+        yield "comment line", self.edited(mid, ["# note\n", line])
+        yield "leading space", self.edited(mid, [" " + line])
+        yield "tab", self.edited(mid, [line.replace(" ", "\t", 1)])
+        yield "trailing space", self.edited(mid, [line[:-1] + " \n"])
+        short = e[-1][: e[-1].rindex(" ")] + "\n"
+        yield "leading space, short last line", self.with_edges([" " + e[0]] + e[1:-1] + [short])
+        for ch in "\x0b\x0c\x1c\x85\u2028":
+            # between two tokens the line breaks in two; before the newline
+            # it only adds an empty line
+            yield f"{ch!r} inside", self.edited(mid, [" ".join(toks[:2]) + ch + " ".join(toks[2:]) + "\n"])
+            yield f"{ch!r} at the end", self.edited(mid, [line[:-1] + ch + "\n"])
+        two = " ".join(toks + nxt) + "\n"
+        yield "two edges, blank after", self.edited(mid, [two, "\n"], drop=2)
+        yield "two edges, blank before", self.edited(mid, ["\n", two], drop=2)
+        yield "line break moved", self.edited(mid, [" ".join(toks + nxt[:3]) + "\n" + nxt[3] + "\n"], drop=2)
+        yield "token moved up a line", self.edited(
+            mid, [" ".join(toks + nxt[3:]) + "\n" + " ".join(nxt[:3]) + "\n"], drop=2
+        )
+        k = next(i for i, x in enumerate(e) if len(x.split()[1]) == 2)
+        u = e[k].split()[1]
+        for spelling in (f"+{u}", f"0{u}", f"{u[0]}_{u[1]}"):
+            yield f"index {spelling}", self.edited(k, [e[k].replace(f" {u} ", f" {spelling} ", 1)])
+
+    def test_each_perturbation_gives_what_the_line_parser_gives(self):
+        outcomes = [self.same_as_line_parser(doc) for _, doc in self.perturbed()]
+        # some perturbations keep the automaton, the others are errors
+        assert self.A in outcomes and any(isinstance(o, tuple) for o in outcomes)
+
+    def test_perturbations_other_than_index_spellings_go_to_the_line_parser(self):
+        # an index that int() reads, like "+5", leaves the document canonical
+        for name, doc in self.perturbed():
+            if not name.startswith("index"):
+                assert automaton._parse_columns(doc) is None, name
+
+    def test_a_symbol_named_edge(self):
+        a = build(("a", "edge"), 3, [(1, 2, "a"), (1, 3, "edge"), (2, 3, "edge")], {3})
+        doc = serialize_wnfa(a)
+        assert "edge 1 3 edge\n" in doc
+        assert automaton._parse_columns(doc) is None
+        assert self.same_as_line_parser(doc) == a
+
+    @pytest.mark.parametrize("alphabet", ["a", "edge a"])
+    def test_lines_out_of_step_with_the_columns(self, alphabet):
+        # lines of 3 and 5 tokens keep 4m tokens and 3m spaces; read by
+        # columns, only the second "edge", in the symbol column, is not part
+        # of two edges (1, 2, edge) and (1, 3, a)
+        doc = f"alphabet {alphabet}\nstates 3\nfinal 3\nedge 1 2\nedge x 1 3 a\n"
+        assert automaton._parse_columns(doc) is None
+        assert self.same_as_line_parser(doc) == (
+            "line 4, column 1: edge line takes: edge <src> <dst> <tok>", 4, 1
+        )
+
+    @pytest.mark.parametrize(
+        "defect", ["duplicate", "swap", "keyword", "bad index", "out of range", "unknown token"]
+    )
+    def test_defects_on_either_side_of_a_chunk_boundary(self, monkeypatch, defect):
+        # chunks of about three lines, and the defect on every line in turn,
+        # so it lands on the last line of one chunk and the first of the next
+        monkeypatch.setattr(automaton, "_CHUNK", 40)
+        e = self.EDGES
+        errors = 0
+        for k in range(len(e) - 1):
+            toks = e[k].split()
+            if defect == "duplicate":
+                edges = e[: k + 1] + [e[k]] + e[k + 1:]
+            elif defect == "swap":
+                edges = e[:k] + [e[k + 1], e[k]] + e[k + 2:]
+            else:
+                at, value = {
+                    "keyword": (0, "edgy"),
+                    "bad index": (1, "x"),
+                    "out of range": (2, "41"),
+                    "unknown token": (3, "zz"),
+                }[defect]
+                toks[at] = value
+                edges = e[:k] + [" ".join(toks) + "\n"] + e[k + 1:]
+            expected = self.same_as_line_parser(self.with_edges(edges))
+            errors += isinstance(expected, tuple)
+        # a swap keeps the automaton; every other defect is an error
+        assert errors == (0 if defect == "swap" else len(e) - 1)
 
 
 def test_dot_export(sample_nfa):

@@ -172,6 +172,17 @@ class TestBoundaryBits:
             merged += ref.num_classes < a.n
         assert merged >= 15, merged
 
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_refinement_reference_at_scale(self, seed, deterministic):
+        # 14,000 states: about 2e4 edges as an NFA, 1.4e4 as a DFA; random
+        # shapes keep the cause chains, and so the reference's rounds, short
+        a = gen_random_wheeler(14000, 2, 4, seed, deterministic=deterministic)
+        ref = convex_signature_refinement(a)
+        assert boundary_bits(a) == ref
+        if not deterministic:
+            assert len(a.edges) > 19000 and ref.num_classes < a.n - 100
+
     def test_dfa_cuts_between_adjacent_nerode_classes(self):
         # on a Wheeler DFA, boundary i is cut exactly when states i-1 and i
         # are not standard-bisimilar, a reference that shares no code with
