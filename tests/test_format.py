@@ -387,9 +387,9 @@ class TestEdgeColumns:
 
     @pytest.mark.parametrize("alphabet", ["a", "edge a"])
     def test_lines_out_of_step_with_the_columns(self, alphabet):
-        # lines of 3 and 5 tokens keep 4m tokens and 3m spaces; read by
-        # columns, only the second "edge", in the symbol column, is not part
-        # of two edges (1, 2, edge) and (1, 3, a)
+        # lines of 3 and 5 tokens keep 4m tokens and 3m spaces, and read by
+        # columns they would be edges (1, 2, edge) and (1, 3, a): only the
+        # second line's "edge", which lands in the symbol column, tells
         doc = f"alphabet {alphabet}\nstates 3\nfinal 3\nedge 1 2\nedge x 1 3 a\n"
         assert automaton._parse_columns(doc) is None
         assert self.same_as_line_parser(doc) == (
