@@ -19,7 +19,6 @@ from functools import cached_property
 from itertools import groupby, islice, pairwise, repeat
 from operator import add, itemgetter, le, lt, mul
 from types import MappingProxyType
-from typing import NoReturn
 
 
 class ParseError(Exception):
@@ -170,8 +169,9 @@ class WheelerNfa(_Record):
 
         ``edges`` must be a tuple of in-range, duplicate-free edges strictly
         ascending in (source, label, target) order, and ``finals`` a frozenset
-        inside 1..n.  Callers: :func:`parse_wnfa`, :func:`~wnfa.minimize.quotient`
-        and ``wnfa equiv``, for a quotient a child process built.
+        inside 1..n.  Callers: both paths of :func:`parse_wnfa`,
+        :func:`~wnfa.minimize.quotient` and ``wnfa equiv``, for a quotient a
+        child process built.
         """
         a = object.__new__(cls)
         a.__dict__.update(n=n, alphabet=alphabet, edges=edges, finals=finals)
@@ -413,24 +413,6 @@ def _check_range(what: str, i: int, size: int, lineno: int, line: str, k: int) -
         raise _error(f"{what} {i} out of range 1..{size}", lineno, line, k)
 
 
-def _reject_edge(lineno, line, toks, n, finals) -> NoReturn:
-    """Raise the error for an edge line the fast path refused.
-
-    Runs the full checks in their documented order, so the message, line and
-    column do not depend on which test the fast path failed first.
-    """
-    if finals is None:
-        raise _error("edge line before final line", lineno, line)
-    if len(toks) != 4:
-        raise _error("edge line takes: edge <src> <dst> <tok>", lineno, line)
-    # both indices parse before either is range-checked
-    src = _parse_int("state index", lineno, line, toks, 1)
-    dst = _parse_int("state index", lineno, line, toks, 2)
-    _check_range("state index", src, n, lineno, line, 1)
-    _check_range("state index", dst, n, lineno, line, 2)
-    raise _error(f"unknown symbol {toks[3]!r}", lineno, line, 3)
-
-
 def parse_wnfa(text: str) -> WheelerNfa:
     """Parse a ``.wnfa`` document into a :class:`WheelerNfa`.
 
@@ -443,8 +425,8 @@ def parse_wnfa(text: str) -> WheelerNfa:
     lines ``edge <src> <dst> <tok>`` with single spaces, a final newline,
     in-range indices, known symbols (none named ``edge``), and edges
     strictly ascending in (source, label, target) order.  Every other
-    document, and every error, goes to the line parser, so results and
-    errors do not depend on which path ran.
+    document, and every error, goes to the line parser, which checks each
+    line in full, so results and errors do not depend on which path ran.
     """
     a = _parse_columns(text)
     return _parse_lines(text) if a is None else a
@@ -525,46 +507,36 @@ def _parse_columns(text: str) -> WheelerNfa | None:
 def _parse_lines(text: str) -> WheelerNfa:
     """The line parser: any document, every error with its line and column.
 
-    An edge line after the final line with two in-range indices and a known
-    symbol costs one ``int()`` per index and one rank lookup; any other edge
-    line is rechecked in full to name its error.  While each edge is strictly
-    greater than the one before it in (source, label, target) order, as
-    :func:`serialize_wnfa` writes them, no duplicate can occur, so no
-    duplicate set is kept and no sort is needed.  The first edge out of that
-    order starts the duplicate set from the edges read so far, and the edges
-    are sorted once at the end; the constructor's checks are never rerun.
+    Every edge line is checked in full.  A dict of the edges read, in order,
+    finds duplicates, so the first error in the document is the one raised;
+    the edges are sorted once at the end, and the constructor's checks are
+    never rerun.
     """
     alphabet: OrderedAlphabet | None = None
     rank: dict[str, int] = {}
     n: int | None = None
     finals: frozenset[int] | None = None
-    edges: list[tuple[int, int, int]] = []
-    seen_edges: set[tuple[int, int, int]] | None = None
-    # the last edge read, as a (source, label, target) key
-    last = (0, 0, 0)
+    edges: dict[tuple[int, int, int], None] = {}
 
     for lineno, line, toks in _lines(text):
         kw = toks[0]
         if kw == "edge":
-            try:
-                src, dst, lab = int(toks[1]), int(toks[2]), rank[toks[3]]
-                fast = finals is not None and len(toks) == 4 and 0 < src <= n and 0 < dst <= n
-            except (IndexError, ValueError, KeyError):
-                fast = False
-            if not fast:
-                _reject_edge(lineno, line, toks, n, finals)
+            if finals is None:
+                raise _error("edge line before final line", lineno, line)
+            if len(toks) != 4:
+                raise _error("edge line takes: edge <src> <dst> <tok>", lineno, line)
+            # both indices parse before either is range-checked
+            src = _parse_int("state index", lineno, line, toks, 1)
+            dst = _parse_int("state index", lineno, line, toks, 2)
+            _check_range("state index", src, n, lineno, line, 1)
+            _check_range("state index", dst, n, lineno, line, 2)
+            lab = rank.get(toks[3])
+            if lab is None:
+                raise _error(f"unknown symbol {toks[3]!r}", lineno, line, 3)
             e = (src, dst, lab)
-            if seen_edges is None:
-                key = (src, lab, dst)
-                if key > last:
-                    last = key
-                    edges.append(e)
-                    continue
-                seen_edges = set(edges)
-            if e in seen_edges:
+            if e in edges:
                 raise _error(f"duplicate edge {src} {dst} {toks[3]}", lineno, line)
-            seen_edges.add(e)
-            edges.append(e)
+            edges[e] = None
         elif kw == "alphabet":
             if alphabet is not None:
                 raise _error("repeated alphabet line", lineno, line)
@@ -606,9 +578,8 @@ def _parse_lines(text: str) -> WheelerNfa:
     for value, name in ((alphabet, "alphabet"), (n, "states"), (finals, "final")):
         if value is None:
             raise ParseError(f"missing {name} line", len(text.splitlines()) + 1)
-    if seen_edges is not None:
-        edges.sort(key=itemgetter(0, 2, 1))
-    return WheelerNfa._from_canonical(n, alphabet, tuple(edges), finals)
+    ordered = tuple(sorted(edges, key=itemgetter(0, 2, 1)))
+    return WheelerNfa._from_canonical(n, alphabet, ordered, finals)
 
 
 def serialize_wnfa(a: WheelerNfa) -> str:

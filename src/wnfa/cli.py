@@ -7,7 +7,8 @@ read or an output that cannot be written.  Every answer is written through
 :func:`_write`, so an answer that cannot reach standard output, because it
 is closed or its reader has gone, exits 2 as well.  :func:`_fail` drops a
 diagnostic that cannot reach standard error, without changing the exit
-code.  Every path argument accepts ``-`` for the standard streams.
+code.  Every path argument accepts ``-`` for the standard streams; an
+automaton path named twice is read once.
 
 ``minimize`` and ``equiv`` each run part of their work in one forked
 child, and report exactly what a sequential run would.  ``minimize``
@@ -226,7 +227,8 @@ def cmd_equiv(args) -> int:
 
     text_a = _text(args.a)
     try:
-        text_b = _read(args.b)
+        # a path named twice is read once: a second read of `-` would be empty
+        text_b = text_a if args.b == args.a else _read(args.b)
     except (OSError, UnicodeDecodeError) as exc:
         _parse(args.a, text_a)  # A's parse error is reported ahead of B's read error
         raise SystemExit(_fail(f"{args.b}: {exc}")) from None
@@ -258,7 +260,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_check_relation(args) -> int:
     a = _load(args.a)
-    b = _load(args.b)
+    b = a if args.b == args.a else _load(args.b)
     rel = _load(args.relation, parse_relation)
     check = is_wheeler_bisimulation if args.wheeler else is_bisimulation
     try:

@@ -257,7 +257,6 @@ def equiv_message(kind, path):
             f"{path}:\nNotReachable: state 3 has no path from the initial state\n"
             "NotCoReachable: state 3 has no path to a final state\n"
         ),
-        "empty": f"{path}: line 1: missing alphabet line\n",
         "closed": f"{path}: standard input is closed\n",
     }[kind]
 
@@ -308,8 +307,8 @@ class TestEquivSides:
             (["{ok}", "-"], "malformed", (2, "", equiv_message("malformed", "-"))),
             (["-", "{invalid}"], "ok", (2, "", equiv_message("invalid", "{invalid}"))),
             (["{invalid}", "-"], "malformed", (2, "", equiv_message("malformed", "-"))),
-            # the first read takes all of stdin, so the second side is empty
-            (["-", "-"], "ok", (2, "", equiv_message("empty", "-"))),
+            # a path named twice is read once, so both sides are stdin's text
+            (["-", "-"], "ok", (0, "Isomorphic\n", "")),
             (["{ok}", "-"], None, (2, "", equiv_message("closed", "-"))),
             (["{invalid}", "-"], None, (2, "", equiv_message("closed", "-"))),
             (["{malformed}", "-"], None, (2, "", equiv_message("malformed", "{malformed}"))),
@@ -646,6 +645,12 @@ class TestCheckRelationCommand:
         a = write("c.wnfa", CHAIN3)
         r = write("id.rel", "relation 3 3\npair 1 1\npair 2 2\npair 3 3\n")
         assert main(["check-relation", a, a, r, "--wheeler"]) == 0
+
+    def test_identity_on_stdin_named_twice(self, files, capsys, monkeypatch):
+        write, _ = files
+        r = write("id.rel", IDENTITY3)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CHAIN3.encode())))
+        assert run_main(["check-relation", "-", "-", r, "--wheeler"], capsys) == (0, "ok\n", "")
 
     def test_relation_parse_error(self, files, capsys):
         write, _ = files

@@ -119,6 +119,11 @@ PARSE_ERRORS = [
     (HEAD + "edge 1 2 zz\n", "line 4, column 10: unknown symbol 'zz'", 4, 10),
     (HEAD + "edge 1 2 a\nedge 1 2 a\n", "line 5, column 1: duplicate edge 1 2 a", 5, 1),
     (HEAD + "edge 1 2 a\n edge +1 02 a\n", "line 5, column 2: duplicate edge 1 2 a", 5, 2),
+    # two errors in one document: the first in document order wins
+    (HEAD + "edge 1 2 a\nedge 1 2 a\nedge 1 x a\n", "line 5, column 1: duplicate edge 1 2 a", 5, 1),
+    (HEAD + "edge 1 x a\nedge 1 2 a\nedge 1 2 a\n", "line 4, column 8: expected state index, got 'x'", 4, 8),
+    (HEAD + "edge 2 1 a\nedge 1 2 a\nedge 2 1 a\nedge 1 2 zz\n",
+     "line 6, column 1: duplicate edge 2 1 a", 6, 1),
     ("alphabet a\nstates 2\ninitial 1\nfinal 2\n",
      "line 3, column 1: unsupported 'initial' line: the initial state is always position 1", 3, 1),
     ("alphabet a\nstates 1\nfinal 1\nnonsense x\n", "line 4, column 1: unknown directive 'nonsense'", 4, 1),
@@ -189,7 +194,7 @@ class TestParseErrors:
 
 
 # 100 edges in canonical order on lines 4..103; each case appends lines
-# from 104 on, so the fast path has run before the case's own line.
+# from 104 on, so the line parser reads 100 edges in order before the case's own line.
 IN_ORDER = "alphabet a b\nstates 101\nfinal 101\n" + "".join(
     f"edge {i} {i + 1} a\n" for i in range(1, 101)
 )
