@@ -16,8 +16,8 @@ import enum
 import re
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import groupby, islice, pairwise, repeat
-from operator import add, itemgetter, le, lt, mul
+from itertools import groupby, islice, pairwise
+from operator import itemgetter, le, lt
 from types import MappingProxyType
 
 
@@ -260,18 +260,24 @@ def _ranks_in(a: WheelerNfa, a2: WheelerNfa) -> list[int | None]:
     return [a2.alphabet.rank.get(tok) for tok in a.alphabet.symbols]
 
 
-def _co_reachable(n: int, edges, finals) -> set[int]:
-    """States 1..n with a path over ``edges`` into ``finals``."""
-    seen = set(finals)
-    stack = list(finals)
+def _co_reachable(n: int, sources, targets, start) -> bytearray:
+    """Flags over 0..n: 1 for each state with a path into ``start``.
+
+    The path runs over the edges ``sources[i] -> targets[i]``; index 0 is
+    always 0.  With the two columns swapped, the flags mark the states
+    reachable from ``start``.
+    """
     back: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v, _ in edges:
+    for u, v in zip(sources, targets):
         back[v].append(u)
+    seen = bytearray(n + 1)
+    stack = list(start)
+    for v in stack:
+        seen[v] = 1
     while stack:
-        v = stack.pop()
-        for u in back[v]:
-            if u not in seen:
-                seen.add(u)
+        for u in back[stack.pop()]:
+            if not seen[u]:
+                seen[u] = 1
                 stack.append(u)
     return seen
 
@@ -301,17 +307,18 @@ def validate(a: WheelerNfa) -> ValidationReport:
     is the position order.
     """
     violations: list[Violation] = []
+    sources = list(map(itemgetter(0), a.edges))
+    targets = list(map(itemgetter(1), a.edges))
     # reachable from 1 = co-reachable to 1 over the reversed edges
-    reach = _co_reachable(a.n, ((v, u, lab) for u, v, lab in a.edges), {1})
-    for u in range(1, a.n + 1):
-        if u not in reach:
-            violations.append(Violation(ViolationKind.NOT_REACHABLE, (u,)))
-    del reach
-    co = _co_reachable(a.n, a.edges, a.finals)
-    for u in range(1, a.n + 1):
-        if u not in co:
-            violations.append(Violation(ViolationKind.NOT_CO_REACHABLE, (u,)))
-    del co
+    for kind, seen in (
+        (ViolationKind.NOT_REACHABLE, _co_reachable(a.n, targets, sources, (1,))),
+        (ViolationKind.NOT_CO_REACHABLE, _co_reachable(a.n, sources, targets, a.finals)),
+    ):
+        u = seen.find(0, 1)
+        while u != -1:
+            violations.append(Violation(kind, (u,)))
+            u = seen.find(0, u + 1)
+    del sources, targets
     if not _axioms_hold(a.edges):
         violations += _axiom_violations(a.edges)
     return ValidationReport(tuple(violations))
@@ -442,8 +449,10 @@ def _parse_columns(text: str) -> WheelerNfa | None:
     The header goes through :func:`_parse_lines`.  The edge block is read in
     place, about :data:`_CHUNK` characters at a time: one ``split`` per
     chunk, ``int`` over the source and target columns, one rank lookup per
-    label, ``min``/``max`` for the ranges, and one strictly ascending check
-    over (source, label, target) keys, carried from chunk to chunk.
+    label, and one strictly ascending check over (source, label, target)
+    tuples, carried from chunk to chunk.  Then the sources ascend too, so
+    the range check reads the first and last source and the targets'
+    ``min``/``max``.
 
     A chunk ends with a newline; say it has m of them.  It passes only with
     4m tokens and exactly 3m spaces and m newlines of whitespace: as each
@@ -466,10 +475,10 @@ def _parse_columns(text: str) -> WheelerNfa | None:
         return None
     if head.edges or "edge" in head.alphabet:
         return None
-    n, sigma = head.n, len(head.alphabet)
+    n = head.n
     rank = head.alphabet.rank
     edges: list[tuple[int, int, int]] = []
-    last = 0  # the key of the last edge read; every key is positive
+    last: tuple = ()  # the key of the last edge read; () sorts below every key
     while end < len(text):
         stop = text.rfind("\n", end, end + _CHUNK) + 1 or text.find("\n", end) + 1
         if not stop:
@@ -492,14 +501,13 @@ def _parse_columns(text: str) -> WheelerNfa | None:
             lab = list(map(rank.__getitem__, toks[3::4]))
         except (ValueError, KeyError):
             return None
-        if min(src) < 1 or max(src) > n or min(dst) < 1 or max(dst) > n:
-            return None
-        # ((source * sigma) + label) * (n + 1) + target orders like the triple
-        keys = map(add, map(mul, src, repeat(sigma)), lab)
-        keys = list(map(add, map(mul, keys, repeat(n + 1)), dst))
+        keys = list(zip(src, lab, dst))
         if keys[0] <= last or not all(map(lt, keys, islice(keys, 1, None))):
             return None
         last = keys[-1]
+        # the keys ascend, so the sources do too
+        if src[0] < 1 or src[-1] > n or min(dst) < 1 or max(dst) > n:
+            return None
         edges += zip(src, dst, lab)
     return WheelerNfa._from_canonical(n, head.alphabet, tuple(edges), head.finals)
 
@@ -560,11 +568,15 @@ def _parse_lines(text: str) -> WheelerNfa:
                 raise _error("final line before states line", lineno, line)
             if finals is not None:
                 raise _error("repeated final line", lineno, line)
-            acc = set()
-            for k in range(1, len(toks)):
-                i = _parse_int("state index", lineno, line, toks, k)
-                _check_range("state index", i, n, lineno, line, k)
-                acc.add(i)
+            try:
+                acc = set(map(int, toks[1:]))
+            except ValueError:
+                acc = None
+            if acc is None or (acc and not (1 <= min(acc) and max(acc) <= n)):
+                # the first bad index, with its column
+                for k in range(1, len(toks)):
+                    i = _parse_int("state index", lineno, line, toks, k)
+                    _check_range("state index", i, n, lineno, line, k)
             finals = frozenset(acc)
         elif kw == "initial":
             raise _error(

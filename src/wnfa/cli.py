@@ -76,8 +76,12 @@ def _read(path: str) -> str:
         if sys.stdin is None:
             # started with no stdin at all, e.g. under `<&-`
             raise OSError("standard input is closed")
-        # the raw bytes, so that stdin decodes as strictly as a file does
-        return sys.stdin.buffer.read().decode("utf-8")
+        # the raw bytes, so that stdin decodes as strictly as a file does,
+        # and its line ends translated as a file's are
+        text = sys.stdin.buffer.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import random
-import string
+from operator import itemgetter
 
 from .automaton import OrderedAlphabet, WheelerNfa, _co_reachable
 
@@ -44,7 +43,7 @@ def gen_distinctness(text) -> WheelerNfa:
 
 
 def _symbol_pool(sigma: int) -> tuple[str, ...]:
-    letters = string.ascii_lowercase
+    letters = "abcdefghijklmnopqrstuvwxyz"
     if sigma <= len(letters):
         return tuple(letters[:sigma])
     return tuple(letters) + tuple(f"s{i}" for i in range(len(letters), sigma))
@@ -77,6 +76,9 @@ def gen_random_wheeler(
     Raises ValueError when ``n``, ``edges_per_label_target`` or ``sigma``
     is below 1.
     """
+    # imported here, so that importing the package does not load random
+    import random
+
     epl = edges_per_label_target
     for name, value in (("n", n), ("edges_per_label_target", epl), ("sigma", sigma)):
         if value < 1:
@@ -131,7 +133,7 @@ def gen_random_wheeler(
 
     # Co-reachability repair: anything that cannot reach a final state is
     # made final itself.
-    co = _co_reachable(n, edges, finals)
-    finals |= {i for i in range(1, n + 1) if i not in co}
+    co = _co_reachable(n, map(itemgetter(0), edges), map(itemgetter(1), edges), finals)
+    finals |= {i for i in range(1, n + 1) if not co[i]}
 
     return WheelerNfa(n, alphabet, tuple(dict.fromkeys(edges)), frozenset(finals))

@@ -8,6 +8,9 @@ from wnfa import (
     OrderedAlphabet,
     QuotientResult,
     Relation,
+    ValidationReport,
+    Violation,
+    ViolationKind,
     WheelerNfa,
     compute_extrema,
     gen_random_wheeler,
@@ -319,6 +322,47 @@ def convex_signature_refinement(a: WheelerNfa) -> BoundaryBits:
         if cut == bits:
             return BoundaryBits(a.n, bits)
         bits = cut
+
+
+def _closure(start, pairs) -> set:
+    """The least superset of ``start`` that holds y whenever it holds x, for each (x, y) in ``pairs``."""
+    closed = set(start)
+    grew = True
+    while grew:
+        grew = False
+        for x, y in pairs:
+            if x in closed and y not in closed:
+                closed.add(y)
+                grew = True
+    return closed
+
+
+def reference_validation(a: WheelerNfa) -> ValidationReport:
+    """:func:`wnfa.validate` from the definitions, in the same report order.
+
+    The reachable states are the least set holding state 1 and closed along
+    every edge, the co-reachable ones the least set holding the finals and
+    closed against every edge: fixpoints over the whole edge set, with no
+    adjacency lists.  An edge pair breaks Axiom 2 when its labels and its
+    targets are ordered opposite ways, and Axiom 3 when it shares a label
+    and crosses, as in the all-pairs check of ``tests/test_automaton.py``.
+    The report names each breaking pair that is adjacent in (label, target,
+    source) order: the edge with the smaller target first.
+    """
+    reach = _closure({1}, [(u, v) for u, v, _ in a.edges])
+    # from the last source down, so that most states are settled in one sweep
+    co = _closure(a.finals, [(v, u) for u, v, _ in reversed(a.edges)])
+    states = range(1, a.n + 1)
+    violations = [Violation(ViolationKind.NOT_REACHABLE, (u,)) for u in states if u not in reach]
+    violations += [Violation(ViolationKind.NOT_CO_REACHABLE, (u,)) for u in states if u not in co]
+    ordered = sorted(a.edges, key=lambda e: (e[2], e[1], e[0]))
+    for e1, e2 in zip(ordered, ordered[1:]):
+        (u1, v1, k1), (u2, v2, k2) = e1, e2
+        if k1 < k2 and v1 > v2:
+            violations.append(Violation(ViolationKind.AXIOM2, (e2, e1)))
+        elif k1 == k2 and u2 < u1 and v2 > v1:
+            violations.append(Violation(ViolationKind.AXIOM3, (e1, e2)))
+    return ValidationReport(tuple(violations))
 
 
 def reference_quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:

@@ -1,18 +1,27 @@
 import random
+from collections import Counter
 
 import pytest
 
 from wnfa import (
     OrderedAlphabet,
+    ValidationReport,
     ViolationKind,
     WheelerNfa,
     accepts,
+    gen_random_wheeler,
     is_deterministic,
     parse_wnfa,
     validate,
 )
 
-from conftest import brute_accepts, build, unorderable_three_state, words_up_to
+from conftest import (
+    brute_accepts,
+    build,
+    reference_validation,
+    unorderable_three_state,
+    words_up_to,
+)
 
 
 class TestOrderedAlphabet:
@@ -190,6 +199,43 @@ class TestValidate:
             violating += not holds
         # 10,911 clean and 9,089 violating
         assert min(clean, violating) >= 8000, (clean, violating)
+
+
+    def test_matches_the_definitional_reference(self):
+        # small automata with any edge set: unreachable and dead states,
+        # both axioms broken, and valid ones
+        rng = random.Random(0x7A1)
+        kinds = Counter()
+        for _ in range(2000):
+            n, sigma = rng.randint(1, 7), rng.randint(1, 3)
+            universe = [
+                (u, v, k) for u in range(1, n + 1) for v in range(1, n + 1) for k in range(sigma)
+            ]
+            edges = rng.sample(universe, rng.randint(0, min(len(universe), 9)))
+            finals = rng.sample(range(1, n + 1), rng.randint(0, n))
+            a = WheelerNfa(n, OrderedAlphabet(("a", "b", "c")[:sigma]), tuple(edges), frozenset(finals))
+            report = validate(a)
+            assert report == reference_validation(a), a
+            kinds.update(v.kind for v in report.violations)
+            kinds["ok"] += report.ok
+        # 177 valid, and at least 795 of each kind of violation
+        assert len(kinds) == 5 and min(kinds.values()) >= 150, kinds
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_matches_the_definitional_reference_at_scale(self, deterministic):
+        a = gen_random_wheeler(140000, 2, 4, 1, deterministic=deterministic)
+        assert validate(a) == reference_validation(a) == ValidationReport(())
+        # broken: every 500th edge gone, every 700th relabeled, every 900th
+        # moved to a target 50 lower, and every other final gone
+        edges = {
+            (u, max(1, v - 50) if i % 900 == 450 else v, (k + 1) % 4 if i % 700 == 0 else k)
+            for i, (u, v, k) in enumerate(a.edges)
+            if i % 500
+        }
+        b = WheelerNfa(a.n, a.alphabet, tuple(edges), frozenset(sorted(a.finals)[::2]))
+        report = validate(b)
+        assert report == reference_validation(b)
+        assert {v.kind for v in report.violations} == set(ViolationKind)
 
 
 class TestAccepts:

@@ -1092,6 +1092,8 @@ class TestStartup:
         added = set(out.split())
         assert "wnfa.cli" in added
         assert not added & {"dataclasses", "inspect", "logging", "wnfa.reference"}
+        # only gen_random_wheeler needs random, and no command needs string
+        assert not added & {"random", "string"}
         # only minimize and equiv import the fork and pipe code
         assert "wnfa.forked" not in added
 

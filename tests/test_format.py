@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from wnfa import (
     serialize_wnfa,
     to_dot,
 )
+
+from wnfa.cli import main
 
 from conftest import build
 
@@ -65,6 +68,11 @@ def test_chain_matches_expected_document():
     )
 
 
+def test_final_indices_parse_as_int_does():
+    a = parse_wnfa("alphabet a b\nstates 3\nfinal 2 2 +3\n")
+    assert a.finals == frozenset({2, 3})
+
+
 def test_empty_final_line():
     # final states may be absent only syntactically; such automata fail
     # validation (no co-reachable states) but must parse
@@ -107,6 +115,10 @@ PARSE_ERRORS = [
     ("alphabet a\nstates 2\nfinal 1 y\n", "line 3, column 9: expected state index, got 'y'", 3, 9),
     ("alphabet a\nstates 2\nfinal 1 3\n", "line 3, column 9: state index 3 out of range 1..2", 3, 9),
     ("alphabet a\nstates 2\nfinal 99 x\n", "line 3, column 7: state index 99 out of range 1..2", 3, 7),
+    # the final line is read in one pass; only a bad index reruns it token by token
+    ("alphabet a b\nstates 3\nfinal 1 x 99\n", "line 3, column 9: expected state index, got 'x'", 3, 9),
+    ("alphabet a b\nstates 3\nfinal 0\n", "line 3, column 7: state index 0 out of range 1..3", 3, 7),
+    ("alphabet a b\nstates 3\nfinal 1_0\n", "line 3, column 7: state index 10 out of range 1..3", 3, 7),
     ("alphabet a\nstates 2\nedge 1 2 a\n", "line 3, column 1: edge line before final line", 3, 1),
     (HEAD + "edge 1 2\n", "line 4, column 1: edge line takes: edge <src> <dst> <tok>", 4, 1),
     (HEAD + "edge 1 2 a # note\n", "line 4, column 1: edge line takes: edge <src> <dst> <tok>", 4, 1),
@@ -297,6 +309,19 @@ def _outcome(parse, doc):
         return (str(err), err.line, err.column)
 
 
+class _Slices(str):
+    """A document that records the start of every slice taken of it."""
+
+    def __new__(cls, text):
+        doc = super().__new__(cls, text)
+        doc.starts = []
+        return doc
+
+    def __getitem__(self, key):
+        self.starts.append(key.start)
+        return str.__getitem__(self, key)
+
+
 @pytest.fixture
 def header_only(monkeypatch):
     """Make the line parser fail on any text that holds an edge line."""
@@ -429,6 +454,65 @@ class TestEdgeColumns:
             errors += isinstance(expected, tuple)
         # a swap keeps the automaton; every other defect is an error
         assert errors == (0 if defect == "swap" else len(e) - 1)
+
+    @pytest.mark.parametrize("defect", ["source 0", "repeat of the line before"])
+    def test_defects_that_open_a_later_chunk(self, monkeypatch, defect):
+        # on the first line of a chunk these break no order inside it: only
+        # the checks on the chunk's first key and first source can see them
+        monkeypatch.setattr(automaton, "_CHUNK", 40)
+        e = self.EDGES
+        opening = 0
+        for k in range(1, len(e)):
+            if defect == "source 0":
+                toks = e[k].split()
+                edges = e[:k] + [" ".join([toks[0], "0"] + toks[2:]) + "\n"] + e[k + 1:]
+            else:
+                edges = e[:k] + [e[k - 1]] + e[k:]
+            doc = _Slices(self.with_edges(edges))
+            assert automaton._parse_columns(doc) is None
+            # the defect on line k opens a chunk, not the first one
+            opening += len("".join(self.HEAD + edges[:k])) in doc.starts[2:]
+            assert isinstance(self.same_as_line_parser(doc), tuple)
+        assert opening >= 5, opening  # 18 of the 54 cases for either defect
+
+
+class TestLineEndsOnStandardInput:
+    """``wnfa`` reads CR and CRLF line ends on standard input as in a file."""
+
+    DOC = TestEdgeColumns.DOC
+
+    def run(self, capsys, monkeypatch, argv, stdin=b""):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_a_canonical_document_takes_the_column_path(self, header_only, capsys, monkeypatch, end):
+        stdin = self.DOC.replace("\n", end).encode()
+        assert self.run(capsys, monkeypatch, ["validate", "-"], stdin) == (0, "ok\n", "")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    @pytest.mark.parametrize("error", ["out of range", "unknown symbol", "no final line"])
+    def test_errors_are_those_of_a_file(self, capsys, monkeypatch, tmp_path, end, error):
+        lines = self.DOC.splitlines(keepends=True)
+        mid = len(lines) // 2
+        if error == "out of range":
+            toks = lines[mid].split()
+            lines[mid] = " ".join([toks[0], "99"] + toks[2:]) + "\n"
+        elif error == "unknown symbol":
+            lines[mid] = lines[mid][:-1] + "zz\n"
+        else:
+            del lines[2]
+        doc = "".join(lines).replace("\n", end).encode()
+        path = tmp_path / "doc.wnfa"
+        path.write_bytes(doc)
+        code, out, err = self.run(capsys, monkeypatch, ["validate", str(path)])
+        assert code == 2 and out == "" and err.startswith(f"{path}: line ")
+        expected = (2, "", "-" + err[len(str(path)):])
+        assert self.run(capsys, monkeypatch, ["validate", "-"], doc) == expected
 
 
 def test_dot_export(sample_nfa):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from wnfa import (
     gen_distinctness,
     gen_random_wheeler,
     is_deterministic,
+    serialize_wnfa,
     validate,
 )
 
@@ -119,6 +121,25 @@ class TestRandom:
             if any(len(s) > 1 for s in in_labels.values()):
                 hits += 1
         assert hits > 0
+
+    @pytest.mark.parametrize(
+        "deterministic, digest",
+        [
+            (False, "32a16dab6b64533285df211f6b72da4eb08a4c9f5a19b0a8664635b959455d8e"),
+            (True, "8221cc8e50963102724c0ae0ba4526ed6104bdd5642925f5fa82a28a6f6aaa8d"),
+        ],
+    )
+    def test_documents_are_pinned(self, deterministic, digest):
+        # the SHA-256 of 61 generated documents, each alphabet size from 1 to
+        # past the 26 letters among them: any change to the random draws, the
+        # symbol names or the co-reachability repair changes it
+        h = hashlib.sha256()
+        for seed in range(60):
+            n, sigma = 1 + seed * 7 % 97, (1, 2, 3, 5, 26, 30)[seed % 6]
+            a = gen_random_wheeler(n, 1 + seed % 3, sigma, seed, deterministic=deterministic)
+            h.update(serialize_wnfa(a).encode())
+        h.update(serialize_wnfa(gen_random_wheeler(5000, 2, 4, 7, deterministic=deterministic)).encode())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["n", "edges_per_label_target", "sigma"])
     def test_rejects_values_below_one(self, name):
