@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 from itertools import groupby, islice, pairwise
 from operator import itemgetter, le, lt
@@ -594,6 +594,33 @@ def _parse_lines(text: str) -> WheelerNfa:
     return WheelerNfa._from_canonical(n, alphabet, ordered, finals)
 
 
+# Lines per block of text that :func:`_blocks` hands a writer
+_BLOCK = 1 << 12
+
+
+def _blocks(lines) -> Iterator[str]:
+    """The strings ``lines`` yields, joined in blocks of up to ``_BLOCK``.
+
+    A writer that takes one block at a time never holds the whole text, nor
+    one object per line, and a caller that wants the text joins the blocks.
+    """
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK)):
+        yield block
+
+
+def _wnfa_blocks(a: WheelerNfa) -> Iterator[str]:
+    """The canonical ``.wnfa`` document for ``a``, block by block."""
+    symbols = a.alphabet.symbols
+    yield (
+        ("alphabet " + " ".join(symbols)).rstrip()
+        + f"\nstates {a.n}\n"
+        + ("final " + " ".join(map(str, sorted(a.finals)))).rstrip()
+        + "\n"
+    )
+    yield from _blocks(f"edge {u} {v} {symbols[lab]}\n" for u, v, lab in a.edges)
+
+
 def serialize_wnfa(a: WheelerNfa) -> str:
     """Render the canonical ``.wnfa`` document for ``a``.
 
@@ -601,27 +628,25 @@ def serialize_wnfa(a: WheelerNfa) -> str:
     (source, label, target), so equal automata serialize identically and
     ``parse_wnfa(serialize_wnfa(a)) == a``.
     """
-    lines = [
-        ("alphabet " + " ".join(a.alphabet.symbols)).rstrip(),
-        f"states {a.n}",
-        ("final " + " ".join(str(i) for i in sorted(a.finals))).rstrip(),
-    ]
-    for u, v, lab in a.edges:
-        lines.append(f"edge {u} {v} {a.alphabet.symbols[lab]}")
-    return "\n".join(lines) + "\n"
+    return "".join(_wnfa_blocks(a))
 
 
 def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_blocks(a: WheelerNfa) -> Iterator[str]:
+    """The Graphviz rendering of ``a``, block by block."""
+    labels = [_dot_quote(s) for s in a.alphabet.symbols]
+    yield "digraph wnfa {\n  rankdir=LR;\n"
+    yield from _blocks(
+        f"  {i} [shape={'doublecircle' if i in a.finals else 'circle'}];\n"
+        for i in range(1, a.n + 1)
+    )
+    yield from _blocks(f"  {u} -> {v} [label={labels[lab]}];\n" for u, v, lab in a.edges)
+    yield "}\n"
+
+
 def to_dot(a: WheelerNfa) -> str:
     """Graphviz rendering: one node per position, double circle for finals."""
-    out = ["digraph wnfa {", "  rankdir=LR;"]
-    for i in range(1, a.n + 1):
-        shape = "doublecircle" if i in a.finals else "circle"
-        out.append(f"  {i} [shape={shape}];")
-    for u, v, lab in a.edges:
-        out.append(f"  {u} -> {v} [label={_dot_quote(a.alphabet.symbols[lab])}];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    return "".join(_dot_blocks(a))

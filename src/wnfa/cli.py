@@ -13,13 +13,15 @@ automaton path named twice is read once.
 ``minimize`` and ``equiv`` each run part of their work in one forked
 child, and report exactly what a sequential run would.  ``minimize``
 parses its input, then validates it in the child while this process
-minimizes it; it builds and writes each output text only once the child
-reports the input valid.  ``equiv`` prepares its second input in the child
-while this process prepares the first.  Each reaps its child on every exit
-path, and does the child's part itself when fork is missing or fails, when
-the child sends no complete result, or when an input is too small to gain
-from a child; ``minimize`` then validates before it minimizes.  There is no
-option for any of this; :mod:`wnfa.forked` has the details.
+minimizes it; once the child reports the input valid, it writes its
+outputs block by block, so no output is ever held whole.  ``equiv``
+prepares its second input in the child while this process prepares the
+first, and drops the first input's text once it is parsed.  Each reaps its
+child on every exit path, and does the child's part itself when fork is
+missing or fails, when the child sends no complete result, or when an input
+is too small to gain from a child; ``minimize`` then validates before it
+minimizes.  There is no option for any of this; :mod:`wnfa.forked` has the
+details.
 
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
@@ -38,19 +40,28 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Iterator
+from itertools import chain
 
 from .automaton import (
     OrderedAlphabet,
     ParseError,
     WheelerNfa,
+    _blocks,
+    _dot_blocks,
+    _wnfa_blocks,
     parse_wnfa,
-    serialize_wnfa,
-    to_dot,
     validate,
 )
 from .equivalence import compare_minimized
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
-from .minimize import QuotientResult, boundary_bits, format_trace, minimize, quotient
+from .minimize import (
+    QuotientResult,
+    _quotient_by_representatives,
+    _trace_blocks,
+    boundary_bits,
+    minimize,
+)
 from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation, serialize_relation
 
 # How far :func:`_prepare` got with one input of ``equiv``
@@ -86,19 +97,24 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path``, stdout when None or ``-``; any failure exits 2."""
+def _write(path: str | None, blocks) -> None:
+    """Write the strings ``blocks`` yields to ``path``, stdout when None or ``-``.
+
+    Each block is built only when the last one is written, so a generator
+    such as :func:`_blocks` keeps one block of the text at a time.  Any
+    failure exits 2.
+    """
     to_stdout = path is None or path == "-"
     try:
         if to_stdout:
             if sys.stdout is None:
                 # started with no stdout at all, e.g. under `>&-`
                 raise OSError("standard output is closed")
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
     except OSError as exc:
         if to_stdout and sys.stdout is not None:
             _to_devnull(sys.stdout)
@@ -125,9 +141,9 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _class_lines(class_map) -> str:
-    """One ``class <in> <out>`` line per input position, numbered from 1."""
-    return "".join(f"class {p} {c}\n" for p, c in enumerate(class_map, 1))
+def _class_blocks(class_map) -> Iterator[str]:
+    """One ``class <in> <out>`` line per input position, numbered from 1, block by block."""
+    return _blocks(f"class {p} {c}\n" for p, c in enumerate(class_map, 1))
 
 
 def _text(path: str) -> str:
@@ -138,7 +154,7 @@ def _text(path: str) -> str:
         raise SystemExit(_fail(f"{path}: {exc}")) from None
 
 
-def _parse(path: str, text: str, parse=parse_wnfa):
+def _parse(path: str, text: str, parse):
     """``parse(text)``; a malformed ``text`` exits 2 with ``path`` in the message."""
     try:
         return parse(text)
@@ -154,7 +170,7 @@ def _load(path: str, parse=parse_wnfa):
 def cmd_validate(args) -> int:
     a = _load(args.input)
     report = validate(a)
-    _write(None, report.describe(a) + "\n")
+    _write(None, [report.describe(a) + "\n"])
     return 0 if report.ok else 1
 
 
@@ -163,7 +179,7 @@ def cmd_minimize(args) -> int:
     from .forked import beside
 
     text = _text(args.input)
-    a, chars = _parse(args.input, text), len(text)
+    a, chars = _parse(args.input, text, parse_wnfa), len(text)
     del text  # held on, it would add its size to the peak memory
 
     def violations():
@@ -171,31 +187,23 @@ def cmd_minimize(args) -> int:
         return None if report.ok else report.describe(a)
 
     def minimized():
-        """The quotient, the trace and the texts every run writes, or the
-        ValueError of an invalid input."""
+        """The quotient and the trace; on an invalid input they are
+        meaningless, but nothing is raised."""
         trace: list | None = [] if args.trace else None
-        try:
-            result = quotient(a, boundary_bits(a, trace))
-        except ValueError as exc:
-            return exc
-        return result, trace, serialize_wnfa(result.quotient), _class_lines(result.class_map)
+        return _quotient_by_representatives(a, boundary_bits(a, trace)), trace
 
     fork = chars >= _MINIMIZE_FORK_MIN_CHARS
     report, done = beside(violations, minimized, fork, check_first=True)
     if report is not None:
         return _fail(report, 1)
-    if isinstance(done, ValueError):
-        raise done  # a valid input: the fault is the program's
-    result, trace, document, classes = done
-    del done
-    _write(args.output, document)
-    _write(args.class_map, classes)
-    # the optional texts are built only once those two are freed
-    del document, classes
+    result, trace = done
+    # each output is built block by block as it is written
+    _write(args.output, _wnfa_blocks(result.quotient))
+    _write(args.class_map, _class_blocks(result.class_map))
     if args.trace:
-        _write(args.trace, format_trace(trace))
+        _write(args.trace, _trace_blocks(trace))
     if args.dot:
-        _write(args.dot, to_dot(result.quotient))
+        _write(args.dot, _dot_blocks(result.quotient))
     return 0
 
 
@@ -211,6 +219,11 @@ def _prepare(path: str, text: str) -> tuple:
         a = parse_wnfa(text)
     except ParseError as exc:
         return _MALFORMED, f"{path}: {exc}"
+    return _prepare_parsed(path, a)
+
+
+def _prepare_parsed(path: str, a: WheelerNfa) -> tuple:
+    """:func:`_prepare` for an input already parsed into ``a``: its last two outcomes."""
     report = validate(a)
     if not report.ok:
         return _INVALID, f"{path}:\n{report.describe(a)}"
@@ -234,14 +247,14 @@ def cmd_equiv(args) -> int:
         # a path named twice is read once: a second read of `-` would be empty
         text_b = text_a if args.b == args.a else _read(args.b)
     except (OSError, UnicodeDecodeError) as exc:
-        _parse(args.a, text_a)  # A's parse error is reported ahead of B's read error
+        _parse(args.a, text_a, parse_wnfa)  # A's parse error is reported ahead of B's read error
         raise SystemExit(_fail(f"{args.b}: {exc}")) from None
 
     def prepare_a():
-        side = _prepare(args.a, text_a)
-        if side[0] == _MALFORMED:
-            raise SystemExit(_fail(side[1]))
-        return side
+        nonlocal text_a
+        a = _parse(args.a, text_a, parse_wnfa)
+        text_a = None  # held on, it would add its size to the peak memory
+        return _prepare_parsed(args.a, a)
 
     def prepare_b():
         return _prepare(args.b, text_b)
@@ -254,10 +267,10 @@ def cmd_equiv(args) -> int:
         if kind == _INVALID:
             return _fail(value)
     verdict = compare_minimized(_minimized(side_a[1]), _minimized(side_b[1]))
-    _write(None, verdict.reason + "\n")
+    _write(None, [verdict.reason + "\n"])
     if verdict.bisimilar:
         if args.witness:
-            _write(args.witness, serialize_relation(verdict.witness))
+            _write(args.witness, [serialize_relation(verdict.witness)])
         return 0
     return 1
 
@@ -271,7 +284,7 @@ def cmd_check_relation(args) -> int:
         failure = check(a, b, rel)
     except ValueError as exc:
         return _fail(f"{args.relation}: {exc}")
-    _write(None, "ok\n" if failure is None else failure.describe() + "\n")
+    _write(None, ["ok\n" if failure is None else failure.describe() + "\n"])
     return 0 if failure is None else 1
 
 
@@ -290,7 +303,7 @@ def cmd_gen(args) -> int:
             )
     except ValueError as exc:
         return _fail(str(exc))
-    _write(args.output, serialize_wnfa(a))
+    _write(args.output, _wnfa_blocks(a))
     return 0
 
 
@@ -303,7 +316,7 @@ def cmd_dev_oracle(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     flags = " ".join("1" if b else "0" for b in bits.bits)
-    _write(None, f"bits {flags}\n" + _class_lines(bits.class_map))
+    _write(None, chain([f"bits {flags}\n"], _class_blocks(bits.class_map)))
     return 0
 
 
@@ -312,7 +325,7 @@ def cmd_dev_std_bisim(args) -> int:
 
     a = _load(args.input)
     part = max_standard_autobisimulation(a)
-    _write(None, _class_lines(c + 1 for c in part.class_of))
+    _write(None, _class_blocks(c + 1 for c in part.class_of))
     return 0
 
 

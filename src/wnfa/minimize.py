@@ -10,7 +10,8 @@ alphabet size:
 2. :func:`boundary_bits` runs a single queue-driven propagation that marks
    each boundary between order-adjacent states that must separate.  The 0
    bits that survive encode the maximum order-respecting autobisimulation.
-3. :func:`quotient` collapses each maximal 0-run into one state.
+3. :func:`quotient` collapses each maximal 0-run into one state;
+   :func:`minimize` reads the same quotient off each class's first member.
 
 Stage 2 never enqueues a boundary index twice, which is both the linearity
 argument and a testable invariant (at most n-1 enqueues per run).  Its
@@ -21,9 +22,11 @@ work.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import compress
 from operator import itemgetter
 
-from .automaton import WheelerNfa, _Record, _set, is_deterministic
+from .automaton import WheelerNfa, _Record, _blocks, _set, is_deterministic
 from .relations import BoundaryBits, Relation
 
 TRACE_SEED = "SEED"
@@ -212,15 +215,50 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     return QuotientResult(q, class_map)
 
 
+def _quotient_by_representatives(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
+    """:func:`quotient` for bits from :func:`boundary_bits`, read off each class's first member.
+
+    In an autobisimulation every member of a class has the same successor
+    classes, so the quotient's edges are the images of the first members'
+    out-edges.  Those come in canonical order, and the class map is
+    monotone, so the images are in canonical order too once adjacent
+    duplicates are dropped: no dict, no sort and no determinism check.  On
+    an invalid input, whose bits may be no autobisimulation, the result is
+    meaningless but still canonical, and nothing is raised.
+    """
+    class_map = bits.class_map
+    if class_map[-1] == a.n:
+        return QuotientResult(a, class_map)
+    at = (0,) + class_map  # indexed by position
+    first = bytearray(b"\0\1") + bytearray(bits.bits)  # first[p]: p starts its class
+    edges = []
+    last = None
+    for u, v, lab in compress(a.edges, map(first.__getitem__, map(itemgetter(0), a.edges))):
+        e = (at[u], at[v], lab)
+        if e != last:
+            edges.append(e)
+            last = e
+    finals = frozenset(map(at.__getitem__, a.finals))
+    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, tuple(edges), finals)
+    return QuotientResult(q, class_map)
+
+
 def minimize(a: WheelerNfa) -> QuotientResult:
     """Quotient ``a`` by the maximum order-respecting autobisimulation.
 
     The result is the unique (up to isomorphism) state-minimal Wheeler NFA
     that is Wheeler-bisimilar to ``a``; minimizing it again is the identity.
+    It equals ``quotient(a, boundary_bits(a))``, built in one pass over the
+    edges of each class's first member.
     """
-    return quotient(a, boundary_bits(a))
+    return _quotient_by_representatives(a, boundary_bits(a))
+
+
+def _trace_blocks(trace) -> Iterator[str]:
+    """The trace records one per line, tab-separated, block by block."""
+    return _blocks(f"{event}\t{index}\n" for event, index in trace)
 
 
 def format_trace(trace) -> str:
     """Render trace records one per line, tab-separated."""
-    return "".join(f"{event}\t{index}\n" for event, index in trace)
+    return "".join(_trace_blocks(trace))

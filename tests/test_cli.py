@@ -24,7 +24,7 @@ from wnfa import (
     validate,
     wheeler_bisimilar,
 )
-from wnfa import cli
+from wnfa import automaton, cli
 from wnfa.cli import main
 
 from conftest import build, unorderable_three_state
@@ -558,7 +558,7 @@ class TestMinimizeSides:
         def fault(a, bits):
             raise ValueError("a fault in quotient")
 
-        monkeypatch.setattr(cli, "quotient", fault)
+        monkeypatch.setattr(cli, "_quotient_by_representatives", fault)
         out = tmp / "q.wnfa"
         with pytest.raises(ValueError, match="a fault in quotient"):
             main(["minimize", write("ok.wnfa", CHAIN3 + pad), "-o", str(out)])
@@ -879,6 +879,59 @@ class TestUnwritableDiagnostics:
     def test_stdout_closed_and_stderr_full(self):
         with open(FULL, "w") as full:
             assert exit_with_closed(["gen", "chain", "3"], [1], stderr=full) == (2, "", None)
+
+
+class TestMinimizeWritesBlocks:
+    """`minimize` writes each output block by block, in process as beside its child."""
+
+    @pytest.fixture(params=["in-process", "forked"])
+    def forks_per_run(self, request, monkeypatch):
+        """How many children each run forks on this path, and a list of their pids."""
+        forked = request.param == "forked"
+        monkeypatch.setattr(cli, "_MINIMIZE_FORK_MIN_CHARS", 0 if forked else 1 << 62)
+        return int(forked), count_forks(monkeypatch, False)
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """An input whose every output is longer than one block, and those outputs."""
+        a = gen_random_wheeler(6000, 2, 3, 19)
+        trace = []
+        result = quotient(a, boundary_bits(a, trace))
+        texts = (
+            serialize_wnfa(result.quotient),
+            "".join(f"class {p} {c}\n" for p, c in enumerate(result.class_map, 1)),
+            format_trace(trace),
+            to_dot(result.quotient),
+        )
+        assert result.quotient.n < a.n
+        assert min(text.count("\n") for text in texts) > automaton._BLOCK
+        path = tmp_path_factory.mktemp("large") / "a.wnfa"
+        path.write_text(serialize_wnfa(a))
+        return str(path), texts
+
+    def test_outputs_to_files_and_stdout(self, forks_per_run, large, tmp_path, capsys):
+        path, (document, classes, trace, dot) = large
+        names = [str(tmp_path / name) for name in MINIMIZE_OUTPUTS]
+        argv = ["minimize", path, "-o", names[0], "--class-map", names[1]]
+        argv += ["--trace", names[2], "--dot", names[3]]
+        assert run_main(argv, capsys) == (0, "", "")
+        assert [Path(name).read_text() for name in names] == [document, classes, trace, dot]
+        assert run_main(["minimize", path, "-o", "-"], capsys) == (0, document + classes, "")
+        per_run, forks = forks_per_run
+        assert len(forks) == 2 * per_run
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_output_to_a_full_device(self, forks_per_run, large, tmp_path, capsys):
+        path, _ = large
+        classes = tmp_path / "m.txt"
+        argv = ["minimize", path, "-o", "/dev/full", "--class-map", str(classes)]
+        message = f"/dev/full: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert run_main(argv, capsys) == (2, "", message)
+        assert not classes.exists()
+        per_run, forks = forks_per_run
+        assert len(forks) == per_run
+        assert_no_child_left()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 
@@ -324,8 +325,8 @@ class TestQuotient:
         assert seen["size"] == 6, seen
 
     def test_invalid_inputs_raise_only_value_error(self):
-        # `wnfa minimize` runs boundary_bits and quotient before it knows the
-        # input is valid, and keeps a ValueError for the report to replace
+        # `wnfa minimize` minimizes before it knows the input is valid, so
+        # minimize must raise nothing there; quotient raises only ValueError
         rng = random.Random(15)
         seen = {"nfa": 0, "dfa": 0, "ValueError": 0}
         while seen["nfa"] + seen["dfa"] < 2000:
@@ -342,6 +343,7 @@ class TestQuotient:
             if validate(a).ok:
                 continue
             seen["dfa" if deterministic else "nfa"] += 1
+            minimize(a)
             try:
                 quotient(a, boundary_bits(a))
             except ValueError as exc:
@@ -357,6 +359,62 @@ class TestQuotient:
             cm = result.class_map
             assert all(x <= y for x, y in zip(cm, cm[1:]))
             assert set(cm) == set(range(1, result.quotient.n + 1))
+
+
+class TestQuotientByRepresentatives:
+    """``minimize`` reads the quotient off each class's first member.
+
+    ``quotient``, which maps every edge and checks its result, is the
+    reference: the two must agree on the quotient and on the class map.
+    """
+
+    def assert_matches(self, a):
+        result = minimize(a)
+        assert result == quotient(a, boundary_bits(a))
+        return result
+
+    def test_small_automata(self):
+        rng = random.Random(19)
+        seen = {"nfa": 0, "dfa": 0, "merged": 0, "initial-in-edges": 0}
+        while seen["nfa"] + seen["dfa"] < 2000:
+            deterministic = rng.random() < 0.5
+            if rng.random() < 0.5:
+                a = gen_random_wheeler(
+                    rng.randint(1, 14), rng.randint(1, 3), rng.randint(1, 3), rng.randrange(2**30),
+                    deterministic=deterministic,
+                )
+            else:
+                # any edges at all, kept when they happen to form a valid input
+                n, sigma = rng.randint(1, 6), rng.randint(1, 3)
+                edges = set()
+                for u in range(1, n + 1):
+                    for lab in range(sigma):
+                        k = rng.randint(0, 1 if deterministic else n)
+                        edges.update((u, v, "abc"[lab]) for v in rng.sample(range(1, n + 1), k))
+                finals = {v for v in range(1, n + 1) if rng.random() < 0.3}
+                a = build("abc"[:sigma], n, sorted(edges), finals)
+                if not validate(a).ok:
+                    continue
+            result = self.assert_matches(a)
+            seen["dfa" if is_deterministic(a) else "nfa"] += 1
+            seen["merged"] += result.quotient.n < a.n
+            seen["initial-in-edges"] += any(v == 1 for _, v, _ in a.edges)
+        assert min(seen["nfa"], seen["dfa"]) >= 500 and seen["merged"] >= 300, seen
+        assert seen["initial-in-edges"] >= 250, seen
+
+    def test_families(self):
+        for k in range(3, 40):
+            self.assert_matches(gen_chain(k))
+        for text in ("a", "abb", "aaaa", "banana", "abcabcabc", "mississippi"):
+            result = self.assert_matches(gen_distinctness(text))
+            # only runs of equal adjacent symbols merge
+            assert result.quotient.n == len(list(groupby(text))) + 2
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_at_scale(self, deterministic):
+        a = gen_random_wheeler(140000, 2, 4, 1, deterministic=deterministic)
+        result = self.assert_matches(a)
+        assert result.quotient.n < a.n
 
 
 class TestMinimize:
