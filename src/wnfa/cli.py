@@ -16,12 +16,13 @@ parses its input, then validates it in the child while this process
 minimizes it; once the child reports the input valid, it writes its
 outputs block by block, so no output is ever held whole.  ``equiv``
 prepares its second input in the child while this process prepares the
-first, and drops the first input's text once it is parsed.  Each reaps its
-child on every exit path, and does the child's part itself when fork is
-missing or fails, when the child sends no complete result, or when an input
-is too small to gain from a child; ``minimize`` then validates before it
-minimizes.  There is no option for any of this; :mod:`wnfa.forked` has the
-details.
+first, drops the first input's text once it is parsed, and writes a
+witness block by block, its pairs read off the two class maps.  Each reaps
+its child on every exit path, and does the child's part itself when fork
+is missing or fails, when the child sends no complete result, or when an
+input is too small to gain from a child; ``minimize`` then validates
+before it minimizes.  There is no option for any of this;
+:mod:`wnfa.forked` has the details.
 
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
@@ -62,7 +63,13 @@ from .minimize import (
     boundary_bits,
     minimize,
 )
-from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation, serialize_relation
+from .relations import (
+    _class_pairs,
+    _relation_blocks,
+    is_bisimulation,
+    is_wheeler_bisimulation,
+    parse_relation,
+)
 
 # How far :func:`_prepare` got with one input of ``equiv``
 _MALFORMED, _INVALID, _MINIMIZED = range(3)
@@ -270,7 +277,9 @@ def cmd_equiv(args) -> int:
     _write(None, [verdict.reason + "\n"])
     if verdict.bisimilar:
         if args.witness:
-            _write(args.witness, [serialize_relation(verdict.witness)])
+            # the witness's pairs, read off the class maps as they are written
+            m1, m2 = (r.class_map for r in verdict.results)
+            _write(args.witness, _relation_blocks(len(m1), len(m2), _class_pairs(m1, m2)))
         return 0
     return 1
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .automaton import WheelerNfa, _Record, _ranks_in, _set
+from .automaton import WheelerNfa, _Record, _ranks_in
 from .minimize import QuotientResult, minimize
-from .relations import Relation, compose, inverse
+from .relations import Relation, _class_pairs
 
 REASON_SIZE_MISMATCH = "SizeMismatch"
 REASON_NOT_ISOMORPHIC = "NotIsomorphic"
@@ -31,28 +31,20 @@ class EquivalenceVerdict(_Record):
     """
 
     _fields = ("bisimilar", "reason", "results")
-
-    def __init__(
-        self,
-        bisimilar: bool,
-        reason: str,
-        results: tuple[QuotientResult, QuotientResult] | None = None,
-    ):
-        _set(self, "bisimilar", bisimilar)
-        _set(self, "reason", reason)
-        _set(self, "results", results)
+    _defaults = (None,)
 
     @cached_property
     def witness(self) -> Relation | None:
         """A Wheeler bisimulation between the two inputs, or None if none exists.
 
-        Built on first read as (inverse of the second class map) o (the first
-        class map): bisimilar quotients coincide position for position.
+        Built on first read from the two class maps: bisimilar quotients
+        coincide position for position, so p and q are related when they map
+        to the same quotient state.
         """
         if self.results is None:
             return None
-        r1, r2 = self.results
-        return compose(inverse(r2.as_relation()), r1.as_relation())
+        m1, m2 = (r.class_map for r in self.results)
+        return Relation(len(m1), len(m2), frozenset(_class_pairs(m1, m2)))
 
 
 def order_respecting_iso(a: WheelerNfa, a2: WheelerNfa) -> bool:

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from itertools import compress
 from operator import itemgetter
 
-from .automaton import WheelerNfa, _Record, _blocks, _set, is_deterministic
+from .automaton import WheelerNfa, _Record, _blocks, is_deterministic
 from .relations import BoundaryBits, Relation
 
 TRACE_SEED = "SEED"
@@ -48,22 +48,6 @@ class IncidenceExtrema(_Record):
     """
 
     _fields = ("a_min", "j_min", "a_max", "j_max", "out_sets", "z")
-
-    def __init__(
-        self,
-        a_min: tuple[int | None, ...],
-        j_min: tuple[int | None, ...],
-        a_max: tuple[int | None, ...],
-        j_max: tuple[int | None, ...],
-        out_sets: tuple[tuple[int, ...], ...],
-        z: tuple[bool, ...],
-    ):
-        _set(self, "a_min", a_min)
-        _set(self, "j_min", j_min)
-        _set(self, "a_max", a_max)
-        _set(self, "j_max", j_max)
-        _set(self, "out_sets", out_sets)
-        _set(self, "z", z)
 
 
 def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
@@ -173,10 +157,6 @@ class QuotientResult(_Record):
     """
 
     _fields = ("quotient", "class_map")
-
-    def __init__(self, quotient: WheelerNfa, class_map: tuple[int, ...]):
-        _set(self, "quotient", quotient)
-        _set(self, "class_map", class_map)
 
     def as_relation(self) -> Relation:
         return Relation(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .automaton import WheelerNfa, _Record, _set, _successors
+from .automaton import WheelerNfa, _Record, _successors
 from .relations import BoundaryBits, Relation, is_wheeler_bisimulation
 
 
@@ -32,8 +32,7 @@ class Partition(_Record):
                 next_id += 1
             elif c not in range(next_id):
                 raise ValueError("class ids must be consecutive from 0 by first use")
-        _set(self, "n", n)
-        _set(self, "class_of", class_of)
+        super().__init__(n, class_of)
 
     @property
     def num_classes(self) -> int:

@@ -9,18 +9,20 @@ scanning in a fixed order so failures reproduce exactly.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from itertools import accumulate, product
 
 from .automaton import (
     ParseError,
     WheelerNfa,
+    _blocks,
     _Record,
     _check_range,
     _error,
     _lines,
     _parse_int,
     _ranks_in,
-    _set,
     _successors,
 )
 
@@ -35,9 +37,7 @@ class Relation(_Record):
         for i, j in pairs:
             if not (1 <= i <= left_size) or not (1 <= j <= right_size):
                 raise ValueError(f"pair ({i}, {j}) out of range")
-        _set(self, "left_size", left_size)
-        _set(self, "right_size", right_size)
-        _set(self, "pairs", pairs)
+        super().__init__(left_size, right_size, pairs)
 
     @staticmethod
     def identity(n: int) -> "Relation":
@@ -65,6 +65,20 @@ def compose(outer: Relation, inner: Relation) -> Relation:
     return Relation(inner.left_size, outer.right_size, frozenset(pairs))
 
 
+def _class_pairs(class_map1, class_map2) -> Iterator[tuple[int, int]]:
+    """The pairs (p, q) with ``class_map1[p - 1] == class_map2[q - 1]``, ascending.
+
+    Both maps must be monotone non-decreasing, as class maps of quotients
+    are.  So each class is an interval of positions in either map, found by
+    bisection once per class, and its pairs are the product of the two
+    intervals.
+    """
+    for c in dict.fromkeys(class_map1):
+        ps = range(bisect_left(class_map1, c) + 1, bisect_right(class_map1, c) + 1)
+        qs = range(bisect_left(class_map2, c) + 1, bisect_right(class_map2, c) + 1)
+        yield from product(ps, qs)
+
+
 class BoundaryBits(_Record):
     """Class boundaries of a convex equivalence on positions 1..n.
 
@@ -80,8 +94,7 @@ class BoundaryBits(_Record):
         bits = tuple(bool(b) for b in bits)
         if len(bits) != n - 1:
             raise ValueError("bit array must cover boundaries 2..n")
-        _set(self, "n", n)
-        _set(self, "bits", bits)
+        super().__init__(n, bits)
 
     def bit(self, i: int) -> bool:
         if not (2 <= i <= self.n):
@@ -111,20 +124,7 @@ class CheckFailure(_Record):
     """
 
     _fields = ("rule", "pair", "edge", "interval", "image")
-
-    def __init__(
-        self,
-        rule: str,
-        pair: tuple[int, int] | None = None,
-        edge: tuple[int, int, int] | None = None,
-        interval: tuple[int, int] | None = None,
-        image: frozenset[int] | None = None,
-    ):
-        _set(self, "rule", rule)
-        _set(self, "pair", pair)
-        _set(self, "edge", edge)
-        _set(self, "interval", interval)
-        _set(self, "image", image)
+    _defaults = (None,) * 4
 
     def describe(self) -> str:
         if self.rule in ("forward", "backward"):
@@ -273,7 +273,11 @@ def parse_relation(text: str) -> Relation:
     return Relation(left, right, frozenset(pairs))
 
 
+def _relation_blocks(left_size: int, right_size: int, pairs) -> Iterator[str]:
+    """The ``.rel`` document of ``pairs``, which must come sorted, block by block."""
+    yield f"relation {left_size} {right_size}\n"
+    yield from _blocks(f"pair {i} {j}\n" for i, j in pairs)
+
+
 def serialize_relation(r: Relation) -> str:
-    lines = [f"relation {r.left_size} {r.right_size}"]
-    lines.extend(f"pair {i} {j}" for i, j in sorted(r.pairs))
-    return "\n".join(lines) + "\n"
+    return "".join(_relation_blocks(r.left_size, r.right_size, sorted(r.pairs)))

@@ -10,11 +10,15 @@ from pathlib import Path
 import pytest
 
 from wnfa import (
+    OrderedAlphabet,
+    WheelerNfa,
     boundary_bits,
+    compose,
     format_trace,
     gen_chain,
     gen_distinctness,
     gen_random_wheeler,
+    inverse,
     minimize,
     parse_wnfa,
     quotient,
@@ -179,6 +183,23 @@ class TestEquivCommand:
         assert main(["equiv", a, b, "--witness", str(witness)]) == 0
         assert capsys.readouterr() == ("Isomorphic\n", "")
         assert witness.read_text() == serialize_relation(result.as_relation())
+
+    def test_witness_longer_than_a_block(self, files, capsys):
+        """Two all-final looped chains merge into one state each, so all 5,000 pairs relate."""
+        write, tmp = files
+        paths, results = [], []
+        for n in (100, 50):
+            edges = [(i, i + 1, 0) for i in range(1, n)] + [(n, n, 0)]
+            chain = WheelerNfa(n, OrderedAlphabet(("a",)), edges, range(1, n + 1))
+            paths.append(write(f"c{n}.wnfa", serialize_wnfa(chain)))
+            results.append(minimize(chain))
+        witness = tmp / "w.rel"
+        assert main(["equiv", *paths, "--witness", str(witness)]) == 0
+        assert capsys.readouterr() == ("Isomorphic\n", "")
+        r1, r2 = (r.as_relation() for r in results)
+        reference = compose(inverse(r2), r1)
+        assert len(reference.pairs) == 5000 > automaton._BLOCK
+        assert witness.read_text() == serialize_relation(reference)
 
     def test_minimal_non_isomorphic_pair(self, files, capsys):
         write, _ = files

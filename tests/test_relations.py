@@ -11,6 +11,7 @@ from wnfa import (
     BoundaryBits,
     CheckFailure,
     OrderedAlphabet,
+    QuotientResult,
     Relation,
     WheelerNfa,
     compose,
@@ -24,6 +25,7 @@ from wnfa import (
     parse_relation,
     serialize_relation,
 )
+from wnfa.relations import _class_pairs
 from wnfa.reference import (
     Partition,
     equivalence_from_bits,
@@ -120,6 +122,70 @@ class TestRelationAlgebra:
         assert is_convex({4})
         assert is_convex({2, 3, 4})
         assert not is_convex({2, 4})
+
+
+def monotone_class_map(rng, n, k):
+    """A random monotone map of positions 1..n onto classes 1..k."""
+    starts = {1, *rng.sample(range(2, n + 1), k - 1)}
+    return tuple(itertools.accumulate((p in starts for p in range(2, n + 1)), initial=1))
+
+
+class TestClassPairs:
+    """The witness pairs read off two class maps, against composing their relations."""
+
+    def test_matches_the_composed_relations(self):
+        rng = random.Random(20)
+        for trial in range(300):
+            k = rng.choice([1, rng.randint(1, 12)])
+            n1, n2 = (rng.choice([k, rng.randint(k, 40)]) for _ in range(2))
+            maps = [monotone_class_map(rng, n, k) for n in (n1, n2)]
+            quotient = WheelerNfa(k, OrderedAlphabet(("a",)), (), frozenset())
+            r1, r2 = (QuotientResult(quotient, m).as_relation() for m in maps)
+            pairs = list(_class_pairs(*maps))
+            assert pairs == sorted(set(pairs)), trial
+            assert frozenset(pairs) == compose(inverse(r2), r1).pairs, trial
+
+    def test_one_class_and_all_singletons(self):
+        assert list(_class_pairs((1, 1), (1, 1, 1))) == list(
+            itertools.product(range(1, 3), range(1, 4))
+        )
+        assert list(_class_pairs((1, 2, 3), (1, 2, 3))) == [(1, 1), (2, 2), (3, 3)]
+
+
+class TestRecordArguments:
+    """Argument errors are TypeErrors naming the field, raised before any check."""
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((), {}, "CheckFailure() missing field 'rule'"),
+            ((), {"pair": (1, 1)}, "CheckFailure() missing field 'rule'"),
+            (("forward",), {"side": 1}, "CheckFailure() got an unknown field 'side'"),
+            (("forward",), {"rule": "initial"}, "CheckFailure() got field 'rule' twice"),
+            (
+                ("forward", None, None, None, None, None),
+                {},
+                "CheckFailure() takes 5 fields ('rule', 'pair', 'edge', 'interval', 'image'), got 6",
+            ),
+        ],
+    )
+    def test_the_shared_constructor(self, args, kwargs, message):
+        with pytest.raises(TypeError) as err:
+            CheckFailure(*args, **kwargs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "args, kwargs, field",
+        [
+            ((3, 3), {}, "'pairs'"),
+            ((3, 3, {(9, 9)}), {"side": 1}, "'side'"),
+            ((3, 3, {(9, 9)}), {"left_size": 3}, "'left_size'"),
+            ((3, 3, {(9, 9)}, ()), {}, "4 positional arguments"),
+        ],
+    )
+    def test_a_record_that_checks_its_fields(self, args, kwargs, field):
+        with pytest.raises(TypeError, match=field):
+            Relation(*args, **kwargs)
 
 
 class TestBitsAndPartitions:
