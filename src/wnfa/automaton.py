@@ -16,8 +16,8 @@ import enum
 import re
 from collections.abc import Iterator, Mapping
 from functools import cached_property
-from itertools import groupby, islice, pairwise
-from operator import itemgetter, le, lt
+from itertools import accumulate, islice
+from operator import itemgetter, le, lt, ne, or_
 from types import MappingProxyType
 
 
@@ -55,7 +55,8 @@ class _Record:
     ``cached_property`` works.  OrderedAlphabet, WheelerNfa, Relation,
     BoundaryBits and Partition check their fields in their own ``__init__``
     and hand the checked values to this one; Violation, built once per bad
-    state, stores its two fields itself, which is faster.
+    state, stores its two fields itself, which is faster.  WheelerNfa, whose
+    edge fields are lists, has its own hash and repr.
     """
 
     _fields: tuple[str, ...] = ()
@@ -144,16 +145,21 @@ class WheelerNfa(_Record):
     Fields:
       n        -- number of states (>= 1); the initial state is position 1
       alphabet -- the ordered symbol set
-      edges    -- (source, target, label-rank) triples, deduplicated and kept
-                  sorted by (source, label, target)
+      sources, targets, labels
+               -- the edges as three equally long lists, one entry per edge:
+                  edge k runs from ``sources[k]`` to ``targets[k]`` on label
+                  rank ``labels[k]``; deduplicated and sorted by (source,
+                  label, target).  Read-only: they are shared, not copied.
       finals   -- accepting positions
 
-    The constructor enforces only structural sanity (ranges, no duplicate
+    The constructor takes the edges as (source, target, label-rank) triples
+    in any order and enforces only structural sanity (ranges, no duplicate
     edges).  Use :func:`validate` to check the Wheeler axioms and the
-    reachability assumptions.
+    reachability assumptions.  :attr:`edges` gives the triples back; the
+    repr shows them, and equality and hash read the columns.
     """
 
-    _fields = ("n", "alphabet", "edges", "finals")
+    _fields = ("n", "alphabet", "sources", "targets", "labels", "finals")
 
     def __init__(
         self,
@@ -180,22 +186,48 @@ class WheelerNfa(_Record):
         for f in finals:
             if not (1 <= f <= n):
                 raise ValueError(f"final state {f} out of range 1..{n}")
-        super().__init__(n, alphabet, tuple(edges), finals)
+        super().__init__(n, alphabet, *_columns(edges), finals)
 
     @classmethod
-    def _from_canonical(cls, n, alphabet, edges, finals) -> "WheelerNfa":
+    def _from_canonical(cls, n, alphabet, sources, targets, labels, finals) -> "WheelerNfa":
         """Skip every check: only for fields already in their checked form.
 
-        ``edges`` must be a tuple of in-range, duplicate-free edges strictly
-        ascending in (source, label, target) order, and ``finals`` a frozenset
-        inside 1..n.  Callers: both paths of :func:`parse_wnfa`,
-        :func:`~wnfa.minimize.quotient`, the quotient from class
-        representatives that :func:`~wnfa.minimize.minimize` builds, and
-        ``wnfa equiv``, for a quotient a child process built.
+        ``sources``, ``targets`` and ``labels`` must be lists holding
+        in-range, duplicate-free edges strictly ascending in (source, label,
+        target) order, and ``finals`` a frozenset inside 1..n.  Callers: both
+        paths of :func:`parse_wnfa`, :func:`~wnfa.minimize.quotient`, the
+        quotient from class representatives that :func:`~wnfa.minimize.minimize`
+        builds, and ``wnfa equiv``, for a quotient a child process built.
         """
         a = object.__new__(cls)
-        a.__dict__.update(n=n, alphabet=alphabet, edges=edges, finals=finals)
+        a.__dict__.update(
+            n=n, alphabet=alphabet, sources=sources, targets=targets, labels=labels, finals=finals
+        )
         return a
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The (source, target, label-rank) triples in canonical order.
+
+        Built from the columns the first time it is read, for callers that
+        want one object per edge; nothing in this package reads it.
+        """
+        return tuple(zip(self.sources, self.targets, self.labels))
+
+    def __hash__(self):
+        columns = map(tuple, (self.sources, self.targets, self.labels))
+        return hash((self.n, self.alphabet, *columns, self.finals))
+
+    def __repr__(self):
+        return (
+            f"{self.__class__.__qualname__}(n={self.n!r}, alphabet={self.alphabet!r}, "
+            f"edges={self.edges!r}, finals={self.finals!r})"
+        )
+
+
+def _columns(triples) -> tuple[list[int], list[int], list[int]]:
+    """The first, second and third entries of a list of triples, as three lists."""
+    return tuple(list(map(itemgetter(k), triples)) for k in range(3))
 
 
 class ViolationKind(enum.Enum):
@@ -267,11 +299,11 @@ def _successors(a: WheelerNfa) -> list[Mapping[int, list[int]]]:
     without out-edges share :data:`_NO_EDGES`.
     """
     out: list[Mapping[int, list[int]]] = [_NO_EDGES] * (a.n + 1)
-    for u, edges in groupby(a.edges, itemgetter(0)):
-        by_label: dict[int, list[int]] = {}
-        for _, v, lab in edges:
-            by_label.setdefault(lab, []).append(v)
-        out[u] = by_label
+    s = 0
+    for u, v, lab in zip(a.sources, a.targets, a.labels):
+        if u != s:
+            s, out[u] = u, {}
+        out[u].setdefault(lab, []).append(v)
     return out
 
 
@@ -319,16 +351,15 @@ def validate(a: WheelerNfa) -> ValidationReport:
     :func:`~wnfa.minimize.compute_extrema` keeps both ``a_min`` and
     ``a_max``.
 
-    Both axioms are checked at once by one linear scan of the targets in
-    label order (:func:`_axioms_hold`).  Only when it fails are the edges
+    Both axioms are checked at once by one linear scan of the target and
+    label columns (:func:`_axioms_hold`).  Only when it fails are the edges
     sorted by (label, target, source) to name each violating pair.
     Duplicate edges are not checked here: the constructor already rejects
     them.  An empty report means ``a`` is a Wheeler NFA whose Wheeler order
     is the position order.
     """
     violations: list[Violation] = []
-    sources = list(map(itemgetter(0), a.edges))
-    targets = list(map(itemgetter(1), a.edges))
+    sources, targets = a.sources, a.targets
     # reachable from 1 = co-reachable to 1 over the reversed edges
     for kind, seen in (
         (ViolationKind.NOT_REACHABLE, _co_reachable(a.n, targets, sources, (1,))),
@@ -338,22 +369,29 @@ def validate(a: WheelerNfa) -> ValidationReport:
         while u != -1:
             violations.append(Violation(kind, (u,)))
             u = seen.find(0, u + 1)
-    del sources, targets
-    if not _axioms_hold(a.edges):
-        violations += _axiom_violations(a.edges)
+    if not _axioms_hold(targets, a.labels, len(a.alphabet)):
+        violations += _axiom_violations(zip(sources, targets, a.labels))
     return ValidationReport(tuple(violations))
 
 
-def _axioms_hold(edges) -> bool:
-    """Whether canonically ordered ``edges`` satisfy Axioms 2 and 3.
+def _axioms_hold(targets, labels, sigma: int) -> bool:
+    """Whether canonically ordered edges satisfy Axioms 2 and 3.
 
-    Sorted stably by label alone, which compares small integers only, each
-    label block keeps the canonical (source, target) order.  Both axioms
-    hold iff the targets never decrease along that sequence: inside a block
-    this is Axiom 3, across a block boundary Axiom 2.
+    The edges are given by their target and label columns, labels below
+    ``sigma``.  Sorted stably by label, each label block would keep the
+    canonical (source, target) order, and both axioms hold iff the targets
+    never decrease along that sequence: inside a block this is Axiom 3,
+    across a block boundary Axiom 2.  So one pass checks that each label's
+    targets ascend, and a second that none lies below the greatest target
+    of a smaller label, with no sort and nothing allocated per edge.
     """
-    targets = list(map(itemgetter(1), sorted(edges, key=itemgetter(2))))
-    return all(map(le, targets, islice(targets, 1, None)))
+    top = [0] * sigma  # top[r]: the last, so greatest, target on label r so far
+    for v, r in zip(targets, labels):
+        if v < top[r]:
+            return False
+        top[r] = v
+    floor = list(accumulate(top, max, initial=0))  # floor[r]: the greatest below label r
+    return all(map(le, map(floor.__getitem__, labels), targets))
 
 
 def _axiom_violations(edges) -> list[Violation]:
@@ -381,7 +419,8 @@ def _axiom_violations(edges) -> list[Violation]:
 
 def is_deterministic(a: WheelerNfa) -> bool:
     # Canonical order puts edges sharing (source, label) next to each other.
-    return all(p[0] != c[0] or p[2] != c[2] for p, c in pairwise(a.edges))
+    s, lab = a.sources, a.labels
+    return all(map(or_, map(ne, s, islice(s, 1, None)), map(ne, lab, islice(lab, 1, None))))
 
 
 def accepts(a: WheelerNfa, word) -> bool:
@@ -472,7 +511,7 @@ def _parse_columns(text: str) -> WheelerNfa | None:
     label, and one strictly ascending check over (source, label, target)
     tuples, carried from chunk to chunk.  Then the sources ascend too, so
     the range check reads the first and last source and the targets'
-    ``min``/``max``.
+    ``min``/``max``.  Each chunk's three columns extend the automaton's.
 
     A chunk ends with a newline; say it has m of them.  It passes only with
     4m tokens and exactly 3m spaces and m newlines of whitespace: as each
@@ -493,11 +532,13 @@ def _parse_columns(text: str) -> WheelerNfa | None:
         head = _parse_lines(text[:end])
     except ParseError:
         return None
-    if head.edges or "edge" in head.alphabet:
+    if head.sources or "edge" in head.alphabet:
         return None
     n = head.n
     rank = head.alphabet.rank
-    edges: list[tuple[int, int, int]] = []
+    sources: list[int] = []
+    targets: list[int] = []
+    labels: list[int] = []
     last: tuple = ()  # the key of the last edge read; () sorts below every key
     while end < len(text):
         stop = text.rfind("\n", end, end + _CHUNK) + 1 or text.find("\n", end) + 1
@@ -528,8 +569,10 @@ def _parse_columns(text: str) -> WheelerNfa | None:
         # the keys ascend, so the sources do too
         if src[0] < 1 or src[-1] > n or min(dst) < 1 or max(dst) > n:
             return None
-        edges += zip(src, dst, lab)
-    return WheelerNfa._from_canonical(n, head.alphabet, tuple(edges), head.finals)
+        sources += src
+        targets += dst
+        labels += lab
+    return WheelerNfa._from_canonical(n, head.alphabet, sources, targets, labels, head.finals)
 
 
 def _parse_lines(text: str) -> WheelerNfa:
@@ -537,14 +580,14 @@ def _parse_lines(text: str) -> WheelerNfa:
 
     Every edge line is checked in full.  A dict of the edges read, in order,
     finds duplicates, so the first error in the document is the one raised;
-    the edges are sorted once at the end, and the constructor's checks are
-    never rerun.
+    the edges are sorted once at the end and split into columns, and the
+    constructor's checks are never rerun.
     """
     alphabet: OrderedAlphabet | None = None
     rank: dict[str, int] = {}
     n: int | None = None
     finals: frozenset[int] | None = None
-    edges: dict[tuple[int, int, int], None] = {}
+    edges: dict[tuple[int, int, int], None] = {}  # (source, label, target) keys
 
     for lineno, line, toks in _lines(text):
         kw = toks[0]
@@ -561,10 +604,10 @@ def _parse_lines(text: str) -> WheelerNfa:
             lab = rank.get(toks[3])
             if lab is None:
                 raise _error(f"unknown symbol {toks[3]!r}", lineno, line, 3)
-            e = (src, dst, lab)
-            if e in edges:
+            key = (src, lab, dst)
+            if key in edges:
                 raise _error(f"duplicate edge {src} {dst} {toks[3]}", lineno, line)
-            edges[e] = None
+            edges[key] = None
         elif kw == "alphabet":
             if alphabet is not None:
                 raise _error("repeated alphabet line", lineno, line)
@@ -588,16 +631,17 @@ def _parse_lines(text: str) -> WheelerNfa:
                 raise _error("final line before states line", lineno, line)
             if finals is not None:
                 raise _error("repeated final line", lineno, line)
+            # built straight from the ints, the frozenset's table is half the
+            # size that copying a set would give it
             try:
-                acc = set(map(int, toks[1:]))
+                finals = frozenset(map(int, toks[1:]))
             except ValueError:
-                acc = None
-            if acc is None or (acc and not (1 <= min(acc) and max(acc) <= n)):
+                finals = None
+            if finals is None or (finals and not (1 <= min(finals) and max(finals) <= n)):
                 # the first bad index, with its column
                 for k in range(1, len(toks)):
                     i = _parse_int("state index", lineno, line, toks, k)
                     _check_range("state index", i, n, lineno, line, k)
-            finals = frozenset(acc)
         elif kw == "initial":
             raise _error(
                 "unsupported 'initial' line: the initial state is always position 1",
@@ -610,8 +654,10 @@ def _parse_lines(text: str) -> WheelerNfa:
     for value, name in ((alphabet, "alphabet"), (n, "states"), (finals, "final")):
         if value is None:
             raise ParseError(f"missing {name} line", len(text.splitlines()) + 1)
-    ordered = tuple(sorted(edges, key=itemgetter(0, 2, 1)))
-    return WheelerNfa._from_canonical(n, alphabet, ordered, finals)
+    ordered = sorted(edges)
+    del edges
+    sources, labels, targets = _columns(ordered)
+    return WheelerNfa._from_canonical(n, alphabet, sources, targets, labels, finals)
 
 
 # Lines per block of text that :func:`_blocks` hands a writer
@@ -638,7 +684,9 @@ def _wnfa_blocks(a: WheelerNfa) -> Iterator[str]:
         + ("final " + " ".join(map(str, sorted(a.finals)))).rstrip()
         + "\n"
     )
-    yield from _blocks(f"edge {u} {v} {symbols[lab]}\n" for u, v, lab in a.edges)
+    yield from _blocks(
+        f"edge {u} {v} {symbols[lab]}\n" for u, v, lab in zip(a.sources, a.targets, a.labels)
+    )
 
 
 def serialize_wnfa(a: WheelerNfa) -> str:
@@ -663,7 +711,10 @@ def _dot_blocks(a: WheelerNfa) -> Iterator[str]:
         f"  {i} [shape={'doublecircle' if i in a.finals else 'circle'}];\n"
         for i in range(1, a.n + 1)
     )
-    yield from _blocks(f"  {u} -> {v} [label={labels[lab]}];\n" for u, v, lab in a.edges)
+    yield from _blocks(
+        f"  {u} -> {v} [label={labels[lab]}];\n"
+        for u, v, lab in zip(a.sources, a.targets, a.labels)
+    )
     yield "}\n"
 
 

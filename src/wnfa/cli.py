@@ -218,9 +218,10 @@ def _prepare(path: str, text: str) -> tuple:
     """Parse, validate and minimize one input of ``equiv``, up to its first failure.
 
     Returns ``(_MALFORMED, message)``, ``(_INVALID, message)`` or
-    ``(_MINIMIZED, (n, symbols, edges, finals, class_map))``, the quotient
-    and class map as data ``marshal`` can send.  It writes nothing, so a
-    child can run it.
+    ``(_MINIMIZED, (n, symbols, sources, targets, labels, finals,
+    class_map))``: the quotient's fields, its three edge columns among them,
+    and the class map, as data ``marshal`` can send.  It writes nothing, so
+    a child can run it.
     """
     try:
         a = parse_wnfa(text)
@@ -236,13 +237,15 @@ def _prepare_parsed(path: str, a: WheelerNfa) -> tuple:
         return _INVALID, f"{path}:\n{report.describe(a)}"
     result = minimize(a)
     q = result.quotient
-    return _MINIMIZED, (q.n, q.alphabet.symbols, q.edges, q.finals, result.class_map)
+    return _MINIMIZED, (
+        q.n, q.alphabet.symbols, q.sources, q.targets, q.labels, q.finals, result.class_map
+    )
 
 
 def _minimized(value: tuple) -> QuotientResult:
     """The :class:`QuotientResult` that :func:`_prepare` sent as ``value``."""
-    n, symbols, edges, finals, class_map = value
-    q = WheelerNfa._from_canonical(n, OrderedAlphabet(symbols), edges, finals)
+    n, symbols, sources, targets, labels, finals, class_map = value
+    q = WheelerNfa._from_canonical(n, OrderedAlphabet(symbols), sources, targets, labels, finals)
     return QuotientResult(q, class_map)
 
 

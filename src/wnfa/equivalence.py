@@ -56,16 +56,16 @@ def order_respecting_iso(a: WheelerNfa, a2: WheelerNfa) -> bool:
     ranks, must be an edge of ``a2``.  Translation keeps distinct edges
     distinct (an edge whose token ``a2`` lacks matches nothing), so with
     equal edge counts this makes the edge sets equal.  Under one alphabet,
-    ranks are tokens and both edge tuples are in canonical order, so the
-    sets are equal iff the tuples are.
+    ranks are tokens and both sides' edges are in canonical order, so the
+    sets are equal iff the three column pairs are.
     """
-    if a.n != a2.n or a.finals != a2.finals or len(a.edges) != len(a2.edges):
+    if a.n != a2.n or a.finals != a2.finals or len(a.sources) != len(a2.sources):
         return False
     if a.alphabet == a2.alphabet:
-        return a.edges == a2.edges
+        return a.sources == a2.sources and a.targets == a2.targets and a.labels == a2.labels
     to2 = _ranks_in(a, a2)
-    edges2 = set(a2.edges)
-    return all((u, v, to2[lab]) in edges2 for u, v, lab in a.edges)
+    edges2 = set(zip(a2.sources, a2.targets, a2.labels))
+    return all(map(edges2.__contains__, zip(a.sources, a.targets, map(to2.__getitem__, a.labels))))
 
 
 def compare_minimized(r1: QuotientResult, r2: QuotientResult) -> EquivalenceVerdict:

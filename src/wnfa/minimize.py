@@ -5,8 +5,8 @@ alphabet size:
 
 1. :func:`compute_extrema` makes one pass over the edges in the
    constructor's canonical (source, label, target) order to find, for every
-   state, the extreme (label, source) pairs among its incoming edges and its
-   set of outgoing labels.
+   state, the extreme (label, source) pairs among its incoming edges, and
+   whether its outgoing labels differ from those of the state before it.
 2. :func:`boundary_bits` runs a single queue-driven propagation that marks
    each boundary between order-adjacent states that must separate.  The 0
    bits that survive encode the maximum order-respecting autobisimulation.
@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import compress
-from operator import itemgetter
 
-from .automaton import WheelerNfa, _Record, _blocks, is_deterministic
+from .automaton import WheelerNfa, _blocks, _columns, _Record, is_deterministic
 from .relations import BoundaryBits, Relation
 
 TRACE_SEED = "SEED"
@@ -36,44 +35,51 @@ TRACE_SET_JMAX = "SET-from-jmax"
 
 
 class IncidenceExtrema(_Record):
-    """Per-state incoming-edge extremes and outgoing-label sets.
+    """Per-state incoming-edge extremes, and where outgoing labels change.
 
     For state i >= 2 (and for state 1 when it has in-edges): ``a_min[i]`` /
     ``j_min[i]`` are the label and source of the (label, source)-least
     incoming edge, ``a_max[i]`` / ``j_max[i]`` of the greatest.  ``None``
-    marks a state without incoming edges.  ``out_sets[i]`` is the sorted
-    tuple of distinct labels leaving i, and ``z[i]`` (2 <= i <= n) records
-    whether states i-1 and i differ in their outgoing-label sets.
-    Index 0 of every array is padding.
+    marks a state without incoming edges.  ``z[i]`` (2 <= i <= n) records
+    whether states i-1 and i differ in their sets of outgoing labels.  Each
+    field is a list indexed by state, and index 0 (and 1 in ``z``) is
+    padding.
     """
 
-    _fields = ("a_min", "j_min", "a_max", "j_max", "out_sets", "z")
+    _fields = ("a_min", "j_min", "a_max", "j_max", "z")
 
 
 def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
-    """One pass over ``a.edges`` in canonical (source, label, target) order.
+    """One pass over ``a``'s edge columns in canonical (source, label, target) order.
 
     Sources ascend, so for target v a strictly smaller label gives a new
     (label, source) minimum and a label at least the current maximum gives
     a new maximum (a later edge into v never has a smaller source).  Each
-    source's labels are contiguous and ascending, so collapsing runs of
-    equal labels yields its outgoing-label set in the same pass.
+    source's labels are contiguous and ascending, so its run of distinct
+    labels is its outgoing-label set, in order; ``z`` compares each run with
+    the run of the state before it, the empty run for a state without
+    out-edges, in the same pass.
     """
     n = a.n
     a_min: list[int | None] = [None] * (n + 1)
     j_min: list[int | None] = [None] * (n + 1)
     a_max: list[int | None] = [None] * (n + 1)
     j_max: list[int | None] = [None] * (n + 1)
-    out_sets: list[tuple[int, ...]] = [()] * (n + 1)
+    z = [False] * (n + 1)
 
     s = 0
-    labels: list[int] = []
-    for u, v, lab in a.edges:
+    run: list[int] = []  # the distinct labels of source s so far
+    before: list[int] = []  # the run of state s - 1
+    for u, v, lab in zip(a.sources, a.targets, a.labels):
         if u != s:
-            out_sets[s] = tuple(labels)
-            s, labels = u, [lab]
-        elif labels[-1] != lab:
-            labels.append(lab)
+            if s > 1:
+                z[s] = run != before
+            if s and u > s + 1:
+                z[s + 1] = True  # s has out-edges, s + 1 has none
+            before = run if u == s + 1 else []
+            s, run = u, [lab]
+        elif run[-1] != lab:
+            run.append(lab)
         cur = a_min[v]
         if cur is None:
             a_min[v], j_min[v], a_max[v], j_max[v] = lab, u, lab, u
@@ -81,15 +87,12 @@ def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
             a_min[v], j_min[v] = lab, u
         elif lab >= a_max[v]:
             a_max[v], j_max[v] = lab, u
-    out_sets[s] = tuple(labels)
+    if s > 1:
+        z[s] = run != before
+    if 0 < s < n:
+        z[s + 1] = True
 
-    z = [False] * (n + 1)
-    for i in range(2, n + 1):
-        z[i] = out_sets[i - 1] != out_sets[i]
-
-    return IncidenceExtrema(
-        tuple(a_min), tuple(j_min), tuple(a_max), tuple(j_max), tuple(out_sets), tuple(z)
-    )
+    return IncidenceExtrema(a_min, j_min, a_max, j_max, z)
 
 
 def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
@@ -114,9 +117,9 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     """
     n = a.n
     ex = compute_extrema(a)
-    j_min, j_max = ex.j_min, ex.j_max
+    j_min, j_max, z, finals = ex.j_min, ex.j_max, ex.z, a.finals
     bits = [False] * (n + 1)
-    queue = [i for i in range(2, n + 1) if ((i - 1) in a.finals) != (i in a.finals) or ex.z[i]]
+    queue = [i for i in range(2, n + 1) if ((i - 1) in finals) != (i in finals) or z[i]]
     for i in queue:
         bits[i] = True
     seeds = len(queue)
@@ -186,10 +189,12 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
         return QuotientResult(a, class_map)
     at = (0,) + class_map  # indexed by position
 
-    edges = dict.fromkeys((at[u], at[v], lb) for u, v, lb in a.edges)
-    edges = sorted(edges, key=itemgetter(0, 2, 1))
+    # (source, label, target) images, so the canonical order is the tuples' own
+    images = zip(map(at.__getitem__, a.sources), a.labels, map(at.__getitem__, a.targets))
+    keys = sorted(dict.fromkeys(images))
+    sources, labels, targets = _columns(keys)
     finals = frozenset(at[f] for f in a.finals)
-    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, tuple(edges), finals)
+    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, sources, targets, labels, finals)
     if is_deterministic(a) and not is_deterministic(q):
         raise ValueError("quotient of a deterministic automaton went non-deterministic")
     return QuotientResult(q, class_map)
@@ -211,15 +216,24 @@ def _quotient_by_representatives(a: WheelerNfa, bits: BoundaryBits) -> QuotientR
         return QuotientResult(a, class_map)
     at = (0,) + class_map  # indexed by position
     first = bytearray(b"\0\1") + bytearray(bits.bits)  # first[p]: p starts its class
-    edges = []
-    last = None
-    for u, v, lab in compress(a.edges, map(first.__getitem__, map(itemgetter(0), a.edges))):
-        e = (at[u], at[v], lab)
-        if e != last:
-            edges.append(e)
-            last = e
+    keep = bytes(map(first.__getitem__, a.sources))
+    kept = zip(
+        compress(a.sources, keep),
+        map(at.__getitem__, compress(a.targets, keep)),
+        compress(a.labels, keep),
+    )
+    sources: list[int] = []
+    targets: list[int] = []
+    labels: list[int] = []
+    s = t = lb = 0  # the last edge kept, its source unmapped
+    for u, v, lab in kept:
+        if v != t or lab != lb or u != s:
+            s, t, lb = u, v, lab
+            sources.append(at[u])
+            targets.append(v)
+            labels.append(lab)
     finals = frozenset(map(at.__getitem__, a.finals))
-    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, tuple(edges), finals)
+    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, sources, targets, labels, finals)
     return QuotientResult(q, class_map)
 
 

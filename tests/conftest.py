@@ -384,6 +384,21 @@ def reference_quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     return QuotientResult(q, class_map)
 
 
+def out_label_sets(a: WheelerNfa) -> list[frozenset[int]]:
+    """The set of labels on each state's out-edges, index 0 unused, from the edge list."""
+    out: list[set[int]] = [set() for _ in range(a.n + 1)]
+    for u, _, lab in a.edges:
+        out[u].add(lab)
+    return [frozenset(labels) for labels in out]
+
+
+def reference_z(a: WheelerNfa) -> list[bool]:
+    """``compute_extrema(a).z`` by its definition: whether the out-label sets
+    of states i-1 and i differ, for 2 <= i <= n; indices 0 and 1 are False."""
+    out = out_label_sets(a)
+    return [False, False] + [out[i - 1] != out[i] for i in range(2, a.n + 1)]
+
+
 def reference_trace(a: WheelerNfa) -> tuple[BoundaryBits, list]:
     """:func:`wnfa.boundary_bits` recording each event as the loop runs it.
 
@@ -492,13 +507,14 @@ def _addable_self_loops(a: WheelerNfa) -> list[tuple[int, int]]:
     """(state, label) pairs where a new self-loop keeps the automaton a
     Wheeler DFA and becomes unrollable afterwards."""
     ex = compute_extrema(a)
+    out = out_label_sets(a)
     by_label: dict[int, list[tuple[int, int]]] = {}
     for u, v, lab in a.edges:
         by_label.setdefault(lab, []).append((u, v))
     found = []
     for v in range(1, a.n + 1):
         lab = ex.a_max[v]
-        if lab is None or lab in ex.out_sets[v]:
+        if lab is None or lab in out[v]:
             continue
         ok = all(
             (x <= v if t <= v else x >= v) for x, t in by_label.get(lab, ())

@@ -9,11 +9,19 @@ from wnfa import (
     ViolationKind,
     WheelerNfa,
     accepts,
+    boundary_bits,
     gen_random_wheeler,
+    is_bisimulation,
     is_deterministic,
+    minimize,
     parse_wnfa,
+    quotient,
+    serialize_wnfa,
+    to_dot,
     validate,
+    wheeler_bisimilar,
 )
+from wnfa import cli
 
 from conftest import (
     brute_accepts,
@@ -49,6 +57,15 @@ class TestWheelerNfaConstruction:
     def test_edges_are_canonically_sorted(self):
         a = build("ab", 2, [(1, 2, "b"), (1, 2, "a"), (2, 2, "a")], {2})
         assert a.edges == ((1, 2, 0), (1, 2, 1), (2, 2, 0))
+
+    def test_edges_are_three_columns(self):
+        a = build("ab", 3, [(2, 3, "a"), (1, 2, "b"), (1, 3, "a")], {3})
+        assert (a.sources, a.targets, a.labels) == ([1, 1, 2], [3, 2, 3], [0, 1, 0])
+        assert "edges" not in vars(a)
+        assert a.edges == ((1, 3, 0), (1, 2, 1), (2, 3, 0))
+        assert a.edges is a.edges  # built once, on first read
+        with pytest.raises(AttributeError):
+            a.edges = ()
 
     def test_rejects_duplicate_edges(self):
         al = OrderedAlphabet(("a",))
@@ -188,7 +205,7 @@ class TestValidate:
                 for u, v, k in a.edges
                 for u2, v2, k2 in a.edges
             )
-            assert _axioms_hold(a.edges) == holds, a
+            assert _axioms_hold(a.targets, a.labels, sigma) == holds, a
             axioms = [
                 x for x in validate(a).violations
                 if x.kind in (ViolationKind.AXIOM2, ViolationKind.AXIOM3)
@@ -306,3 +323,41 @@ class TestSuccessors:
         with pytest.raises(TypeError):
             succ[4][0] = [1]
         assert dict(succ[1]) == {0: [2]} and dict(succ[4]) == {}
+
+
+class TestEdgeView:
+    def test_no_reader_in_the_package_reads_it(self, monkeypatch):
+        # the package reads the edge columns; with the view made to raise,
+        # every command path still runs
+        def refuse(a):
+            raise AssertionError("the edges view was read")
+
+        nfa = serialize_wnfa(gen_random_wheeler(300, 2, 3, 5))
+        dfa = serialize_wnfa(gen_random_wheeler(200, 2, 3, 7, deterministic=True))
+        lines = nfa.splitlines(keepends=True)
+        texts = [
+            nfa,
+            "".join(lines[:3] + ["# note\n"] + lines[3:]),  # a comment: the line parser
+            dfa,
+            dfa.replace("alphabet a b c", "alphabet _ a b c"),  # the same tokens, other ranks
+        ]
+        invalid = build("ab", 3, [(1, 2, "b"), (1, 3, "a")], {2, 3})
+        monkeypatch.setattr(WheelerNfa, "edges", property(refuse))
+        automata = [parse_wnfa(text) for text in texts]
+        for text, a in zip(texts, automata):
+            assert validate(a).ok
+            result = minimize(a)
+            assert quotient(a, boundary_bits(a, [])) == result
+            assert is_bisimulation(a, result.quotient, result.as_relation()) is None
+            assert accepts(a, "") == (1 in a.finals)
+            assert parse_wnfa(serialize_wnfa(result.quotient)) == result.quotient
+            to_dot(result.quotient)
+            status, value = cli._prepare("A", text)
+            assert status == cli._MINIMIZED and cli._minimized(value) == result
+        assert minimize(automata[0]).quotient.n < automata[0].n
+        assert not is_deterministic(automata[0]) and is_deterministic(automata[2])
+        assert wheeler_bisimilar(automata[0], automata[1]).bisimilar
+        assert wheeler_bisimilar(automata[2], automata[3]).bisimilar
+        assert validate(invalid).describe(invalid) == (
+            "Axiom2: edges (1 -> 2 on b) and (1 -> 3 on a) order targets 2 < 3 but labels b > a"
+        )

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 
 import pytest
 
@@ -78,6 +79,16 @@ def test_empty_final_line():
     # validation (no co-reachable states) but must parse
     a = parse_wnfa("alphabet a\nstates 1\nfinal\n")
     assert a.finals == frozenset()
+
+
+def test_finals_table_is_built_from_the_ints():
+    # copied from a set, 150,000 finals would get a hash table twice as large
+    finals = list(range(1, 300_001, 2))
+    doc = f"alphabet a\nstates 300000\nfinal {' '.join(map(str, finals))}\n"
+    a = parse_wnfa(doc)
+    assert a.finals == frozenset(finals)
+    assert sys.getsizeof(a.finals) == sys.getsizeof(frozenset(finals))
+    assert sys.getsizeof(a.finals) < sys.getsizeof(frozenset(set(finals)))
 
 
 def test_hash_symbols_survive_round_trip():

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from itertools import groupby
 
 import pytest
 
 from wnfa import (
     BoundaryBits,
+    OrderedAlphabet,
+    WheelerNfa,
     accepts,
     boundary_bits,
     compute_extrema,
@@ -28,6 +31,8 @@ from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX, TRACE_SET_J
 from conftest import (
     build,
     convex_signature_refinement,
+    out_label_sets,
+    reference_z,
     reference_quotient,
     reference_trace,
     words_up_to,
@@ -40,27 +45,21 @@ class TestComputeExtrema:
         b = two_level_tree.alphabet.rank_of("b")
         assert ex.a_min[4] == b and ex.a_max[4] == b
         assert ex.j_min[4] == 2 and ex.j_max[4] == 2
-        a = two_level_tree.alphabet.rank_of("a")
-        assert ex.out_sets[1] == (a,)
-        assert ex.out_sets[2] == (b,)
-        assert ex.z[2] is True
+        assert ex.z[2] is True  # state 1 emits only a, state 2 only b
         assert ex.z[5] is False  # states 4 and 5 both emit only c
 
     def test_distinctness_gadget(self, two_level_tree):
         g = gen_distinctness("abb")
         ex = compute_extrema(g)
         assert ex.a_min[2] == g.alphabet.rank_of("#1")
-        rank_b = g.alphabet.rank_of("b")
-        assert ex.out_sets[3] == (rank_b,)
-        assert ex.out_sets[4] == (rank_b,)
-        assert ex.z[4] is False
+        assert ex.z[4] is False  # states 3 and 4 both emit only b
 
     def test_self_loop_single_state(self):
         a = build("a", 1, [(1, 1, "a")], {1})
         ex = compute_extrema(a)
         assert ex.a_min[1] == 0 and ex.j_min[1] == 1
         assert ex.a_max[1] == 0 and ex.j_max[1] == 1
-        assert ex.out_sets[1] == (0,)
+        assert ex.z == [False, False]
 
     def test_initial_without_in_edges_is_bottom(self, two_level_tree):
         ex = compute_extrema(two_level_tree)
@@ -92,7 +91,7 @@ class TestComputeExtrema:
 
     def test_matches_definition(self):
         # extrema are the min/max of (label, source) over each state's
-        # in-edges; out_sets the sorted distinct out-labels
+        # in-edges; z compares the out-label sets of adjacent states
         rng = random.Random(22)
         for k in range(500):
             a = gen_random_wheeler(
@@ -100,18 +99,54 @@ class TestComputeExtrema:
                 rng.randrange(2**30), deterministic=k % 2 == 1,
             )
             into = [[] for _ in range(a.n + 1)]
-            out = [set() for _ in range(a.n + 1)]
             for u, v, lab in a.edges:
                 into[v].append((lab, u))
-                out[u].add(lab)
             ex = compute_extrema(a)
             for i in range(1, a.n + 1):
                 assert (ex.a_min[i], ex.j_min[i]) == min(into[i], default=(None, None))
                 assert (ex.a_max[i], ex.j_max[i]) == max(into[i], default=(None, None))
-                assert ex.out_sets[i] == tuple(sorted(out[i]))
-            assert ex.z[2:] == tuple(
-                ex.out_sets[i - 1] != ex.out_sets[i] for i in range(2, a.n + 1)
-            )
+            assert ex.z == reference_z(a)
+
+    def test_z_matches_the_out_label_sets(self):
+        # small automata with any edge set, so states without out-edges sit
+        # anywhere: first, in runs in the middle, last, and n = 1
+        rng = random.Random(0x2E7)
+        seen = Counter()
+        for _ in range(3000):
+            n, sigma = rng.randint(1, 8), rng.randint(1, 3)
+            universe = [
+                (u, v, k) for u in range(1, n + 1) for v in range(1, n + 1) for k in range(sigma)
+            ]
+            edges = rng.sample(universe, rng.randint(0, min(len(universe), 10)))
+            a = WheelerNfa(n, OrderedAlphabet("abc"[:sigma]), edges, frozenset())
+            z = compute_extrema(a).z
+            assert z == reference_z(a), a
+            assert all(type(bit) is bool for bit in z)
+            silent = [not labels for labels in out_label_sets(a)[1:]]
+            seen["n = 1"] += n == 1
+            seen["first"] += n > 1 and silent[0]
+            seen["run inside"] += any(silent[i] and silent[i + 1] for i in range(1, n - 2))
+            seen["last"] += n > 1 and silent[-1]
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize(
+        "edges, z",
+        [
+            # state 1 silent, then states 2 and 3 emit a
+            ([(2, 3, "a"), (3, 1, "a")], [False, False, True, False]),
+            # a silent run of 2 and 3 between emitting states
+            ([(1, 2, "a"), (4, 1, "a")], [False, False, True, False, True]),
+            # the last state silent
+            ([(1, 2, "a"), (2, 3, "a")], [False, False, False, True]),
+            # no edges at all, and n = 1
+            ([], [False, False, False]),
+            ([], [False, False]),
+        ],
+    )
+    def test_z_around_states_without_out_edges(self, edges, z):
+        n = len(z) - 1
+        a = build("a", n, edges, {n})
+        assert compute_extrema(a).z == z == reference_z(a)
 
 
 class TestBoundaryBits:

@@ -95,11 +95,11 @@ CASES = {
     "IncidenceExtrema": (
         IncidenceExtrema,
         lambda: dict(a_min=(None, None, 0), j_min=(None, None, 1), a_max=(None, None, 0),
-                     j_max=(None, None, 1), out_sets=((), (0,), ()), z=(False, False, True)),
+                     j_max=(None, None, 1), z=(False, False, True)),
         lambda: dict(a_min=(None, None, 0), j_min=(None, None, 1), a_max=(None, None, 0),
-                     j_max=(None, None, 1), out_sets=((), (0,), ()), z=(False, False, False)),
+                     j_max=(None, None, 1), z=(False, False, False)),
         "IncidenceExtrema(a_min=(None, None, 0), j_min=(None, None, 1), a_max=(None, None, 0), "
-        "j_max=(None, None, 1), out_sets=((), (0,), ()), z=(False, False, True))",
+        "j_max=(None, None, 1), z=(False, False, True))",
     ),
     "QuotientResult": (
         QuotientResult,
@@ -192,7 +192,7 @@ class TestConstruction:
         assert repr(BoundaryBits(3, [1, 0])) == "BoundaryBits(n=3, bits=(True, False))"
 
     def test_from_canonical_equals_the_checked_constructor(self):
-        fast = WheelerNfa._from_canonical(2, OrderedAlphabet(("a",)), ((1, 2, 0),), frozenset({2}))
+        fast = WheelerNfa._from_canonical(2, OrderedAlphabet(("a",)), [1], [2], [0], frozenset({2}))
         assert fast == nfa() and hash(fast) == hash(nfa()) and repr(fast) == NFA_REPR
 
     def test_cached_properties_stay_out_of_value(self):
