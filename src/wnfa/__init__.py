@@ -36,6 +36,8 @@ from .minimize import (
     minimize,
     quotient,
 )
+# compose and inverse stay importable from here, but are left out of __all__:
+# nothing in the package calls them
 from .relations import (
     BoundaryBits,
     CheckFailure,
@@ -67,8 +69,6 @@ __all__ = [
     "Relation",
     "BoundaryBits",
     "CheckFailure",
-    "inverse",
-    "compose",
     "is_bisimulation",
     "is_wheeler_bisimulation",
     "parse_relation",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from itertools import accumulate, islice
 from operator import itemgetter, le, lt, ne, or_
@@ -53,10 +53,12 @@ class _Record:
     ``_defaults`` and stores each with :data:`_set`; plain assignment and
     deletion raise AttributeError.  Instances keep a ``__dict__``, so
     ``cached_property`` works.  OrderedAlphabet, WheelerNfa, Relation,
-    BoundaryBits and Partition check their fields in their own ``__init__``
-    and hand the checked values to this one; Violation, built once per bad
-    state, stores its two fields itself, which is faster.  WheelerNfa, whose
-    edge fields are lists, has its own hash and repr.
+    BoundaryBits and Partition copy their fields from any iterable, a
+    generator included, and check them in their own ``__init__``, then hand
+    the checked values to this one, so their callers build no copy first;
+    Violation, built once per bad state, stores its two fields itself, which
+    is faster.  WheelerNfa, whose edge fields are lists, has its own hash and
+    repr.
     """
 
     _fields: tuple[str, ...] = ()
@@ -111,7 +113,7 @@ class OrderedAlphabet(_Record):
 
     _fields = ("symbols",)
 
-    def __init__(self, symbols: tuple[str, ...]):
+    def __init__(self, symbols: Iterable[str]):
         symbols = tuple(symbols)
         seen = set()
         for tok in symbols:
@@ -165,8 +167,8 @@ class WheelerNfa(_Record):
         self,
         n: int,
         alphabet: OrderedAlphabet,
-        edges: tuple[tuple[int, int, int], ...],
-        finals: frozenset[int],
+        edges: Iterable[tuple[int, int, int]],
+        finals: Iterable[int],
     ):
         if n < 1:
             raise ValueError("state count must be >= 1")
@@ -612,7 +614,7 @@ def _parse_lines(text: str) -> WheelerNfa:
             if alphabet is not None:
                 raise _error("repeated alphabet line", lineno, line)
             try:
-                alphabet = OrderedAlphabet(tuple(toks[1:]))
+                alphabet = OrderedAlphabet(toks[1:])
             except ValueError as exc:
                 raise _error(str(exc), lineno, line) from None
             rank = alphabet.rank

@@ -44,7 +44,7 @@ class EquivalenceVerdict(_Record):
         if self.results is None:
             return None
         m1, m2 = (r.class_map for r in self.results)
-        return Relation(len(m1), len(m2), frozenset(_class_pairs(m1, m2)))
+        return Relation(len(m1), len(m2), _class_pairs(m1, m2))
 
 
 def order_respecting_iso(a: WheelerNfa, a2: WheelerNfa) -> bool:

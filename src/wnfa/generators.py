@@ -15,9 +15,8 @@ def gen_chain(k: int) -> WheelerNfa:
     """
     if k < 3:
         raise ValueError("chain length must be >= 3")
-    alphabet = OrderedAlphabet(("a",))
     edges = [(1, 1, 0)] + [(i, i + 1, 0) for i in range(1, k)]
-    return WheelerNfa(k, alphabet, tuple(edges), frozenset({1, k}))
+    return WheelerNfa(k, OrderedAlphabet("a"), edges, {1, k})
 
 
 def gen_distinctness(text) -> WheelerNfa:
@@ -33,20 +32,17 @@ def gen_distinctness(text) -> WheelerNfa:
     n = len(letters)
     if n == 0:
         raise ValueError("text must be non-empty")
-    base_symbols = tuple(sorted(set(letters)))
-    alphabet = OrderedAlphabet(tuple(f"#{i}" for i in range(1, n + 1)) + base_symbols)
+    alphabet = OrderedAlphabet([f"#{i}" for i in range(1, n + 1)] + sorted(set(letters)))
     edges = []
     for i, tok in enumerate(letters, 1):
         edges.append((1, 1 + i, alphabet.rank_of(f"#{i}")))
         edges.append((1 + i, n + 2, alphabet.rank_of(tok)))
-    return WheelerNfa(n + 2, alphabet, tuple(edges), frozenset({n + 2}))
+    return WheelerNfa(n + 2, alphabet, edges, {n + 2})
 
 
-def _symbol_pool(sigma: int) -> tuple[str, ...]:
+def _symbol_pool(sigma: int) -> list[str]:
     letters = "abcdefghijklmnopqrstuvwxyz"
-    if sigma <= len(letters):
-        return tuple(letters[:sigma])
-    return tuple(letters) + tuple(f"s{i}" for i in range(len(letters), sigma))
+    return [*letters[:sigma], *(f"s{i}" for i in range(len(letters), sigma))]
 
 
 def gen_random_wheeler(
@@ -87,8 +83,8 @@ def gen_random_wheeler(
 
     alphabet = OrderedAlphabet(_symbol_pool(sigma))
     if n == 1:
-        edges = ((1, 1, 0),) if rng.random() < 0.5 else ()
-        return WheelerNfa(1, alphabet, edges, frozenset({1}))
+        edges = [(1, 1, 0)] if rng.random() < 0.5 else []
+        return WheelerNfa(1, alphabet, edges, {1})
 
     # Consecutive label runs over positions 2..n.
     n_labels = rng.randint(1, min(sigma, n - 1))
@@ -122,8 +118,6 @@ def gen_random_wheeler(
                 sources = {base}
                 extra = rng.randint(0, epl - 1) + (1 if rng.random() < 0.3 else 0)
                 for _ in range(extra):
-                    if base > hi:
-                        break
                     sources.add(rng.randint(base, hi))
                 sources = sorted(sources)
             edges.extend((u, t, lab) for u in sources)
@@ -136,4 +130,6 @@ def gen_random_wheeler(
     co = _co_reachable(n, map(itemgetter(0), edges), map(itemgetter(1), edges), finals)
     finals |= {i for i in range(1, n + 1) if not co[i]}
 
-    return WheelerNfa(n, alphabet, tuple(dict.fromkeys(edges)), frozenset(finals))
+    # distinct by construction: each target of a run gets one set of sources,
+    # and a target shared by two runs gets the two runs' distinct labels
+    return WheelerNfa(n, alphabet, edges, finals)

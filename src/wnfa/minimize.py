@@ -23,7 +23,7 @@ work.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress
+from itertools import compress, islice
 
 from .automaton import WheelerNfa, _blocks, _columns, _Record, is_deterministic
 from .relations import BoundaryBits, Relation
@@ -148,7 +148,7 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
                 trace.append((TRACE_SET_JMAX, queue[k]))
                 k += 1
 
-    return BoundaryBits(n, tuple(bits[2 : n + 1]))
+    return BoundaryBits(n, islice(bits, 2, None))
 
 
 class QuotientResult(_Record):
@@ -162,11 +162,7 @@ class QuotientResult(_Record):
     _fields = ("quotient", "class_map")
 
     def as_relation(self) -> Relation:
-        return Relation(
-            len(self.class_map),
-            self.quotient.n,
-            frozenset((p, c) for p, c in enumerate(self.class_map, 1)),
-        )
+        return Relation(len(self.class_map), self.quotient.n, enumerate(self.class_map, 1))
 
 
 def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:

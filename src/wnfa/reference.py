@@ -8,6 +8,7 @@ The command line loads this module only for the ``--dev`` commands, and
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 
 from .automaton import WheelerNfa, _Record, _successors
 from .relations import BoundaryBits, Relation, is_wheeler_bisimulation
@@ -22,7 +23,7 @@ class Partition(_Record):
 
     _fields = ("n", "class_of")
 
-    def __init__(self, n: int, class_of: tuple[int, ...]):
+    def __init__(self, n: int, class_of: Iterable[int]):
         class_of = tuple(class_of)
         if len(class_of) != n:
             raise ValueError("class_of must assign every position")
@@ -45,15 +46,13 @@ class Partition(_Record):
         return [tuple(members) for members in out]
 
     def to_relation(self) -> Relation:
-        pairs = set()
-        for members in self.classes():
-            pairs.update(itertools.product(members, members))
-        return Relation(self.n, self.n, frozenset(pairs))
+        pairs = (p for c in self.classes() for p in itertools.product(c, c))
+        return Relation(self.n, self.n, pairs)
 
 
 def equivalence_from_bits(b: BoundaryBits) -> Partition:
     """Read the bit array as a partition: a 0 bit joins adjacent positions."""
-    return Partition(b.n, tuple(c - 1 for c in b.class_map))
+    return Partition(b.n, (c - 1 for c in b.class_map))
 
 
 def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
@@ -85,7 +84,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
             signature.append((class_of[p - 1], sig))
         new_class_of = renumber(signature)
         if new_class_of == class_of:
-            return Partition(a.n, tuple(class_of))
+            return Partition(a.n, class_of)
         class_of = new_class_of
 
 
@@ -130,12 +129,12 @@ def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> Boundar
             zeros = set(combo)
             if zeros <= accumulated:
                 continue
-            bits = BoundaryBits(n, tuple(i not in zeros for i in range(2, n + 1)))
+            bits = BoundaryBits(n, (i not in zeros for i in range(2, n + 1)))
             rel = equivalence_from_bits(bits).to_relation()
             if is_wheeler_bisimulation(a, a, rel) is None:
                 accumulated |= zeros
 
-    result = BoundaryBits(n, tuple(i not in accumulated for i in range(2, n + 1)))
+    result = BoundaryBits(n, (i not in accumulated for i in range(2, n + 1)))
     check = is_wheeler_bisimulation(a, a, equivalence_from_bits(result).to_relation())
     assert check is None, f"union of passing equivalences failed the checker: {check}"
     return result

@@ -10,7 +10,7 @@ scanning in a fixed order so failures reproduce exactly.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, product
 
 from .automaton import (
@@ -32,7 +32,7 @@ class Relation(_Record):
 
     _fields = ("left_size", "right_size", "pairs")
 
-    def __init__(self, left_size: int, right_size: int, pairs: frozenset[tuple[int, int]]):
+    def __init__(self, left_size: int, right_size: int, pairs: Iterable[tuple[int, int]]):
         pairs = frozenset(tuple(p) for p in pairs)
         for i, j in pairs:
             if not (1 <= i <= left_size) or not (1 <= j <= right_size):
@@ -41,11 +41,11 @@ class Relation(_Record):
 
     @staticmethod
     def identity(n: int) -> "Relation":
-        return Relation(n, n, frozenset((i, i) for i in range(1, n + 1)))
+        return Relation(n, n, ((i, i) for i in range(1, n + 1)))
 
 
 def inverse(r: Relation) -> Relation:
-    return Relation(r.right_size, r.left_size, frozenset((j, i) for i, j in r.pairs))
+    return Relation(r.right_size, r.left_size, ((j, i) for i, j in r.pairs))
 
 
 def compose(outer: Relation, inner: Relation) -> Relation:
@@ -61,8 +61,8 @@ def compose(outer: Relation, inner: Relation) -> Relation:
     step: dict[int, list[int]] = {}
     for j, k in outer.pairs:
         step.setdefault(j, []).append(k)
-    pairs = {(i, k) for i, j in inner.pairs for k in step.get(j, ())}
-    return Relation(inner.left_size, outer.right_size, frozenset(pairs))
+    pairs = ((i, k) for i, j in inner.pairs for k in step.get(j, ()))
+    return Relation(inner.left_size, outer.right_size, pairs)
 
 
 def _class_pairs(class_map1, class_map2) -> Iterator[tuple[int, int]]:
@@ -88,10 +88,10 @@ class BoundaryBits(_Record):
 
     _fields = ("n", "bits")
 
-    def __init__(self, n: int, bits: tuple[bool, ...]):
+    def __init__(self, n: int, bits: Iterable[bool]):
         if n < 1:
             raise ValueError("state count must be >= 1")
-        bits = tuple(bool(b) for b in bits)
+        bits = tuple(map(bool, bits))
         if len(bits) != n - 1:
             raise ValueError("bit array must cover boundaries 2..n")
         super().__init__(n, bits)
@@ -158,7 +158,7 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
             f"which have {a.n} and {a2.n} states"
         )
     succ1 = _successors(a)
-    succ2 = _successors(a2)
+    succ2 = succ1 if a2 is a else _successors(a2)
     to2 = _ranks_in(a, a2)
     to1 = _ranks_in(a2, a)
     pairs = sorted(rel.pairs)
@@ -181,20 +181,21 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     return None
 
 
-def _minimal_nonconvex_interval(images: dict[int, set[int]]):
+def _minimal_nonconvex_interval(images: dict[int, list[int]]):
     """The first minimal interval of positions whose image is not convex.
 
-    ``images[p]`` is the non-empty image of position p, keyed only by the
-    positions the relation relates, so the scan is bounded by it.  Every
-    interval has a convex image iff every per-position image is convex and
-    each non-empty image overlaps or touches the previous non-empty one,
-    since a union of intervals chained that way is an interval, and two
-    nearest non-empty images are together the image of the interval between
-    them.  So one pass finds the failing interval with the smallest right
-    end, and it is minimal: either one position, or the span back to the
-    previous non-empty image.  Returns (interval, image), the image as a
-    frozenset because :class:`CheckFailure` hashes it, or None when every
-    interval's image is convex.
+    ``images[p]`` is the non-empty image of position p as a list without
+    repeats, so its length is its size.  Only the positions the relation
+    relates are keys, so the scan is bounded by it.  Every interval has a
+    convex image iff every per-position image is convex and each non-empty
+    image overlaps or touches the previous non-empty one, since a union of
+    intervals chained that way is an interval, and two nearest non-empty
+    images are together the image of the interval between them.  So one pass
+    finds the failing interval with the smallest right end, and it is
+    minimal: either one position, or the span back to the previous non-empty
+    image.  Returns (interval, image), the image as a frozenset because
+    :class:`CheckFailure` hashes it, or None when every interval's image is
+    convex.
     """
     prev = prev_lo = prev_hi = None
     for p, image in sorted(images.items()):
@@ -202,7 +203,7 @@ def _minimal_nonconvex_interval(images: dict[int, set[int]]):
         if hi - lo + 1 != len(image):
             return (p, p), frozenset(image)
         if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
-            return (prev, p), frozenset(images[prev] | image)
+            return (prev, p), frozenset(images[prev] + image)
         prev, prev_lo, prev_hi = p, lo, hi
     return None
 
@@ -221,11 +222,12 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
     if failure is not None:
         return failure
 
-    fwd: dict[int, set[int]] = {}
-    back: dict[int, set[int]] = {}
+    # the pairs are distinct, so each image list holds no repeats
+    fwd: dict[int, list[int]] = {}
+    back: dict[int, list[int]] = {}
     for i, j in rel.pairs:
-        fwd.setdefault(i, set()).add(j)
-        back.setdefault(j, set()).add(i)
+        fwd.setdefault(i, []).append(j)
+        back.setdefault(j, []).append(i)
 
     for rule, images in (("image-convexity", fwd), ("preimage-convexity", back)):
         hit = _minimal_nonconvex_interval(images)
@@ -270,7 +272,7 @@ def parse_relation(text: str) -> Relation:
             raise _error(f"unknown directive {kw!r}", lineno, line)
     if left is None:
         raise ParseError("missing relation line", len(text.splitlines()) + 1)
-    return Relation(left, right, frozenset(pairs))
+    return Relation(left, right, pairs)
 
 
 def _relation_blocks(left_size: int, right_size: int, pairs) -> Iterator[str]:

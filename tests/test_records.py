@@ -191,6 +191,29 @@ class TestConstruction:
         assert Partition(2, [0, 0]).class_of == (0, 0)
         assert repr(BoundaryBits(3, [1, 0])) == "BoundaryBits(n=3, bits=(True, False))"
 
+    @pytest.mark.parametrize(
+        "make, field, stored",
+        [
+            (lambda it: OrderedAlphabet(it(("a", "b"))), "symbols", tuple),
+            (
+                lambda it: WheelerNfa(
+                    2, OrderedAlphabet("a"), it(((2, 2, 0), (1, 2, 0))), it(frozenset({2}))
+                ),
+                "finals",
+                frozenset,
+            ),
+            (lambda it: Relation(2, 3, it({(1, 3), (2, 1)})), "pairs", frozenset),
+            (lambda it: BoundaryBits(3, it((True, False))), "bits", tuple),
+            (lambda it: Partition(3, it((0, 1, 0))), "class_of", tuple),
+        ],
+    )
+    def test_a_one_shot_generator_gives_the_same_immutable_record(self, make, field, stored):
+        # the callers in the package hand these constructors generators and
+        # lists, and rely on them for the one immutable copy
+        from_generator = make(lambda values: (v for v in values))
+        assert from_generator == make(lambda values: values)
+        assert type(getattr(from_generator, field)) is stored
+
     def test_from_canonical_equals_the_checked_constructor(self):
         fast = WheelerNfa._from_canonical(2, OrderedAlphabet(("a",)), [1], [2], [0], frozenset({2}))
         assert fast == nfa() and hash(fast) == hash(nfa()) and repr(fast) == NFA_REPR

@@ -228,6 +228,14 @@ class TestBitsAndPartitions:
         with pytest.raises(ValueError):
             BoundaryBits(3, (True,))
 
+    def test_bit_reads_boundaries_2_to_n_only(self):
+        bits = BoundaryBits(4, (True, False, True))
+        assert [bits.bit(i) for i in range(2, 5)] == [True, False, True]
+        for n, i in ((4, 1), (4, 5), (1, 1), (1, 2)):
+            with pytest.raises(IndexError) as err:
+                BoundaryBits(n, (True,) * (n - 1)).bit(i)
+            assert str(err.value) == f"boundary index {i} out of range 2..{n}"
+
 
 class TestBisimulationChecker:
     def test_branchy_relation_is_a_standard_bisimulation(
