@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate, islice
 from operator import itemgetter, le, lt, ne, or_
-from types import MappingProxyType
 
 
 class ParseError(Exception):
@@ -173,22 +172,24 @@ class WheelerNfa(_Record):
         if n < 1:
             raise ValueError("state count must be >= 1")
         sigma = len(alphabet)
-        edges = [tuple(e) for e in edges]
+        keys = []  # (source, label, target): canonical order is their sort order
         for u, v, a in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
             if not (0 <= a < sigma):
                 raise ValueError(f"edge label rank {a} out of range")
-        edges.sort(key=itemgetter(0, 2, 1))
-        for prev, cur in zip(edges, edges[1:]):
+            keys.append((u, a, v))
+        keys.sort()
+        for prev, cur in zip(keys, islice(keys, 1, None)):
             if prev == cur:
-                u, v, a = cur
+                u, a, v = cur
                 raise ValueError(f"duplicate edge ({u}, {v}, {alphabet.symbols[a]!r})")
         finals = frozenset(finals)
         for f in finals:
             if not (1 <= f <= n):
                 raise ValueError(f"final state {f} out of range 1..{n}")
-        super().__init__(n, alphabet, *_columns(edges), finals)
+        sources, labels, targets = _columns(keys)
+        super().__init__(n, alphabet, sources, targets, labels, finals)
 
     @classmethod
     def _from_canonical(cls, n, alphabet, sources, targets, labels, finals) -> "WheelerNfa":
@@ -212,7 +213,7 @@ class WheelerNfa(_Record):
         """The (source, target, label-rank) triples in canonical order.
 
         Built from the columns the first time it is read, for callers that
-        want one object per edge; nothing in this package reads it.
+        want one object per edge; in this package only the repr reads it.
         """
         return tuple(zip(self.sources, self.targets, self.labels))
 
@@ -290,23 +291,16 @@ class ValidationReport(_Record):
         return "\n".join(v.describe(a) for v in self.violations)
 
 
-# the map of every state without out-edges, read-only because they share it
-_NO_EDGES: Mapping[int, list[int]] = MappingProxyType({})
+def _out_starts(a: WheelerNfa) -> list[int]:
+    """Per-state offsets into the edge columns, n + 2 of them, index 0 unused.
 
-
-def _successors(a: WheelerNfa) -> list[Mapping[int, list[int]]]:
-    """Per-state map label-rank -> target list (index 0 unused), both ascending.
-
-    Beyond one list slot per state, the memory follows the edges: states
-    without out-edges share :data:`_NO_EDGES`.
+    State u's out-edges sit at positions ``starts[u]`` to ``starts[u + 1] - 1``
+    of every column, labels ascending, and targets ascending within a label.
     """
-    out: list[Mapping[int, list[int]]] = [_NO_EDGES] * (a.n + 1)
-    s = 0
-    for u, v, lab in zip(a.sources, a.targets, a.labels):
-        if u != s:
-            s, out[u] = u, {}
-        out[u].setdefault(lab, []).append(v)
-    return out
+    starts = [0] * (a.n + 2)
+    for u in a.sources:
+        starts[u + 1] += 1
+    return list(accumulate(starts))
 
 
 def _ranks_in(a: WheelerNfa, a2: WheelerNfa) -> list[int | None]:
@@ -432,10 +426,10 @@ def accepts(a: WheelerNfa, word) -> bool:
     Raises ValueError on tokens outside the alphabet.
     """
     ranks = [a.alphabet.rank_of(tok) for tok in word]
-    succ = _successors(a)
+    starts, t, lab = _out_starts(a), a.targets, a.labels
     current = {1}
     for r in ranks:
-        current = {v for u in current for v in succ[u].get(r, ())}
+        current = {t[k] for u in current for k in range(starts[u], starts[u + 1]) if lab[k] == r}
         if not current:
             return False
     return any(u in a.finals for u in current)

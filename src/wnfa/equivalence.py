@@ -4,10 +4,10 @@ Two Wheeler NFAs admit a Wheeler bisimulation between them iff their
 minimized forms are isomorphic, and because both sides carry a total order
 there is only one candidate isomorphism: the position-identity map.  That
 turns the whole decision into minimize + compare, which is linear in the
-input: the quotients' edges are compared as sets, labels matched by token.
-When the answer is yes, a concrete witness relation is assembled from the
-two class maps the first time a caller reads it; it holds one pair per two
-states sharing a quotient state, so it can be quadratic in size.
+input: the quotients' edge columns are compared as they are under one
+alphabet, else their edges as sets, labels matched by token.  A yes
+answer's witness is built from the two class maps when first read; it holds
+one pair per two states sharing a quotient state, so it can be quadratic.
 """
 
 from __future__ import annotations

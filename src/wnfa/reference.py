@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .automaton import WheelerNfa, _Record, _successors
+from .automaton import WheelerNfa, _out_starts, _Record
 from .relations import BoundaryBits, Relation, is_wheeler_bisimulation
 
 
@@ -63,7 +63,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
     (label, successor-class) pairs, until a fixpoint.  O(n |E|) worst case,
     which is fine for a desk-scale baseline.
     """
-    succ = _successors(a)
+    starts, targets, labels = _out_starts(a), a.targets, a.labels
 
     def renumber(keys: list) -> list[int]:
         ids: dict = {}
@@ -79,7 +79,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
         signature = []
         for p in range(1, a.n + 1):
             sig = frozenset(
-                (lab, class_of[v - 1]) for lab, targets in succ[p].items() for v in targets
+                (labels[k], class_of[targets[k] - 1]) for k in range(starts[p], starts[p + 1])
             )
             signature.append((class_of[p - 1], sig))
         new_class_of = renumber(signature)
@@ -113,10 +113,8 @@ def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> Boundar
     if n == 1:
         return BoundaryBits(1, ())
 
-    out_labels = [frozenset()] * (n + 1)
-    succ = _successors(a)
-    for p in range(1, n + 1):
-        out_labels[p] = frozenset(succ[p])
+    starts = _out_starts(a)
+    out_labels = [frozenset(a.labels[starts[p] : starts[p + 1]]) for p in range(n + 1)]
     mergeable = [
         i
         for i in range(2, n + 1)

@@ -21,9 +21,9 @@ from .automaton import (
     _check_range,
     _error,
     _lines,
+    _out_starts,
     _parse_int,
     _ranks_in,
-    _successors,
 )
 
 
@@ -157,23 +157,36 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
             f"relation {rel.left_size} {rel.right_size} does not match the automata, "
             f"which have {a.n} and {a2.n} states"
         )
-    succ1 = _successors(a)
-    succ2 = succ1 if a2 is a else _successors(a2)
-    to2 = _ranks_in(a, a2)
-    to1 = _ranks_in(a2, a)
-    pairs = sorted(rel.pairs)
+    starts1 = _out_starts(a)
+    starts2 = starts1 if a2 is a else _out_starts(a2)
+    targets1, labels1, targets2, labels2 = a.targets, a.labels, a2.targets, a2.labels
+    to2, to1 = _ranks_in(a, a2), _ranks_in(a2, a)
+    related, pairs = rel.pairs, sorted(rel.pairs)
 
+    # labels ascend in a state's range: bisection finds the run of an edge's token
     for u, u2 in pairs:
-        for lab, targets in succ1[u].items():
-            for v in targets:
-                if not any((v, v2) in rel.pairs for v2 in succ2[u2].get(to2[lab], ())):
-                    return CheckFailure("forward", pair=(u, u2), edge=(u, v, lab))
+        lo, hi = starts2[u2], starts2[u2 + 1]
+        for k in range(starts1[u], starts1[u + 1]):
+            v, lab = targets1[k], to2[labels1[k]]
+            j = hi if lab is None else bisect_left(labels2, lab, lo, hi)
+            while j < hi and labels2[j] == lab:
+                if (v, targets2[j]) in related:
+                    break
+                j += 1
+            else:
+                return CheckFailure("forward", pair=(u, u2), edge=(u, v, labels1[k]))
     for u, u2 in pairs:
-        for lab, targets in succ2[u2].items():
-            for v2 in targets:
-                if not any((v, v2) in rel.pairs for v in succ1[u].get(to1[lab], ())):
-                    return CheckFailure("backward", pair=(u, u2), edge=(u2, v2, lab))
-    if (1, 1) not in rel.pairs:
+        lo, hi = starts1[u], starts1[u + 1]
+        for k in range(starts2[u2], starts2[u2 + 1]):
+            v2, lab = targets2[k], to1[labels2[k]]
+            j = hi if lab is None else bisect_left(labels1, lab, lo, hi)
+            while j < hi and labels1[j] == lab:
+                if (targets1[j], v2) in related:
+                    break
+                j += 1
+            else:
+                return CheckFailure("backward", pair=(u, u2), edge=(u2, v2, labels2[k]))
+    if (1, 1) not in related:
         return CheckFailure("initial")
     for u, u2 in pairs:
         if (u in a.finals) != (u2 in a2.finals):
@@ -198,8 +211,8 @@ def _minimal_nonconvex_interval(images: dict[int, list[int]]):
     convex.
     """
     prev = prev_lo = prev_hi = None
-    for p, image in sorted(images.items()):
-        lo, hi = min(image), max(image)
+    for p in sorted(images):
+        lo, hi = min(image := images[p]), max(image)
         if hi - lo + 1 != len(image):
             return (p, p), frozenset(image)
         if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):

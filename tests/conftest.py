@@ -5,6 +5,7 @@ import pytest
 
 from wnfa import (
     BoundaryBits,
+    CheckFailure,
     OrderedAlphabet,
     QuotientResult,
     Relation,
@@ -16,7 +17,6 @@ from wnfa import (
     gen_random_wheeler,
     is_deterministic,
 )
-from wnfa.automaton import _ranks_in, _successors
 from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX, TRACE_SET_JMIN
 
 
@@ -150,6 +150,18 @@ def unorderable_three_state() -> list[WheelerNfa]:
     return [uvw, uwv]
 
 
+def successor_maps(a: WheelerNfa) -> list[dict[int, list[int]]]:
+    """Per-state map label rank -> target list (index 0 unused), from the edge list.
+
+    The edges come in canonical order, so the labels and each label's
+    targets ascend.
+    """
+    out: list[dict[int, list[int]]] = [{} for _ in range(a.n + 1)]
+    for u, v, lab in a.edges:
+        out[u].setdefault(lab, []).append(v)
+    return out
+
+
 def brute_accepts(a: WheelerNfa, word) -> bool:
     """Path-enumeration acceptance: independent of the subset construction."""
     ranks = [a.alphabet.rank_of(tok) for tok in word]
@@ -199,6 +211,52 @@ def is_convex(positions) -> bool:
     return max(positions) - min(positions) + 1 == len(positions)
 
 
+def reference_check(a: WheelerNfa, a2: WheelerNfa, rel: Relation, wheeler: bool):
+    """:func:`wnfa.is_bisimulation`, or with ``wheeler`` :func:`wnfa.is_wheeler_bisimulation`,
+    pair by pair from the definitions, with the same first failure.
+
+    For each pair in sorted order, each edge of its left state, in canonical
+    order, needs an edge of its right state on the same token into a related
+    pair of targets; then the same for every pair's right edges; then the
+    pair (1, 1) and each pair's finality.  With ``wheeler``, every interval
+    of positions, on the left and then on the right, must have a convex
+    image: the witness is the failing interval with the least right end,
+    and of those the shortest.
+    """
+    edges1 = [(u, v, lab, a.alphabet.symbols[lab]) for u, v, lab in a.edges]
+    edges2 = [(u, v, lab, a2.alphabet.symbols[lab]) for u, v, lab in a2.edges]
+    pairs = sorted(rel.pairs)
+    for u, u2 in pairs:
+        for x, v, lab, tok in edges1:
+            if x == u and not any(
+                (x2, tok2) == (u2, tok) and (v, v2) in rel.pairs for x2, v2, _, tok2 in edges2
+            ):
+                return CheckFailure("forward", pair=(u, u2), edge=(u, v, lab))
+    for u, u2 in pairs:
+        for x2, v2, lab, tok in edges2:
+            if x2 == u2 and not any(
+                (x, tok1) == (u, tok) and (v, v2) in rel.pairs for x, v, _, tok1 in edges1
+            ):
+                return CheckFailure("backward", pair=(u, u2), edge=(u2, v2, lab))
+    if (1, 1) not in rel.pairs:
+        return CheckFailure("initial")
+    for u, u2 in pairs:
+        if (u in a.finals) != (u2 in a2.finals):
+            return CheckFailure("finality", pair=(u, u2))
+    if not wheeler:
+        return None
+    for rule, size, side in (
+        ("image-convexity", a.n, rel.pairs),
+        ("preimage-convexity", a2.n, {(j, i) for i, j in rel.pairs}),
+    ):
+        for j in range(1, size + 1):
+            for i in range(j, 0, -1):
+                img = frozenset(q for p, q in side if i <= p <= j)
+                if not is_convex(img):
+                    return CheckFailure(rule, interval=(i, j), image=img)
+    return None
+
+
 def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
     """Relate states of two Wheeler DFAs reached by a common input string.
 
@@ -211,9 +269,9 @@ def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
         if not is_deterministic(side):
             raise ValueError("dfa_language_bisimulation needs deterministic inputs")
 
-    succ1 = _successors(a)
-    succ2 = _successors(a2)
-    to2 = _ranks_in(a, a2)
+    succ1 = successor_maps(a)
+    succ2 = successor_maps(a2)
+    to2 = [a2.alphabet.rank.get(tok) for tok in a.alphabet.symbols]
     seen = {(1, 1)}
     stack = [(1, 1)]
     while stack:
@@ -274,8 +332,8 @@ def language_sample_equal(a: WheelerNfa, a2: WheelerNfa, max_len: int) -> bool:
     tokens = sorted(set(a.alphabet.symbols) | set(a2.alphabet.symbols))
     # each token's rank on either side; None where that side lacks it
     ranks = [(a.alphabet.rank.get(tok), a2.alphabet.rank.get(tok)) for tok in tokens]
-    succ1 = _successors(a)
-    succ2 = _successors(a2)
+    succ1 = successor_maps(a)
+    succ2 = successor_maps(a2)
 
     start = (frozenset({1}), frozenset({1}))
     frontier = [start]
@@ -307,7 +365,7 @@ def convex_signature_refinement(a: WheelerNfa) -> BoundaryBits:
     O(n + |E|), and every round but the last cuts a boundary, so there are
     at most n rounds.
     """
-    succ = _successors(a)
+    succ = successor_maps(a)
     bits = [
         ((i - 1) in a.finals) != (i in a.finals) or succ[i - 1].keys() != succ[i].keys()
         for i in range(2, a.n + 1)
@@ -445,7 +503,7 @@ def reference_trace(a: WheelerNfa) -> tuple[BoundaryBits, list]:
 def unrollable_loops(a: WheelerNfa) -> list[tuple[int, int]]:
     """Self-loops (state, label) that :func:`unroll_self_loop` may expand."""
     ex = compute_extrema(a)
-    out_by_label = _successors(a)
+    out_by_label = successor_maps(a)
     found = []
     for v in range(1, a.n + 1):
         for lab, targets in out_by_label[v].items():

@@ -295,12 +295,23 @@ class TestAccepts:
                 assert accepts(a, word) == brute_accepts(a, word), (word, a)
 
 
+def _maps_from_ranges(a, starts):
+    """Per-state map label-rank -> target list, read off the offset ranges."""
+    maps = [{} for _ in range(a.n + 1)]
+    for u in range(1, a.n + 1):
+        for k in range(starts[u], starts[u + 1]):
+            maps[u].setdefault(a.labels[k], []).append(a.targets[k])
+    return maps
+
+
 class TestSuccessors:
+    # each state's successors are the range starts[u] .. starts[u + 1] - 1
+    # of the edge columns, given by the offset table _out_starts
     def test_matches_one_map_per_state(self):
         import random
 
         from wnfa import gen_random_wheeler
-        from wnfa.automaton import _successors
+        from wnfa.automaton import _out_starts
 
         rng = random.Random(17)
         for _ in range(300):
@@ -309,20 +320,29 @@ class TestSuccessors:
             expected = [{} for _ in range(a.n + 1)]
             for u, v, lab in sorted(a.edges):
                 expected[u].setdefault(lab, []).append(v)
-            got = _successors(a)
-            assert len(got) == a.n + 1
+            starts = _out_starts(a)
+            assert len(starts) == a.n + 2 and starts[:2] == [0, 0]
+            assert starts[-1] == len(a.edges)
+            got = _maps_from_ranges(a, starts)
             for u in range(a.n + 1):
-                assert dict(got[u]) == expected[u], (u, a)
+                assert got[u] == expected[u], (u, a)
                 assert list(got[u]) == sorted(expected[u])
+                assert all(ts == sorted(ts) for ts in got[u].values())
 
     def test_states_without_out_edges_share_a_read_only_map(self):
-        from wnfa.automaton import _successors
+        from wnfa.automaton import _out_starts
 
-        succ = _successors(build("a", 4, [(1, 2, "a"), (2, 3, "a")], {3}))
-        assert succ[3] is succ[4] is succ[0]
-        with pytest.raises(TypeError):
-            succ[4][0] = [1]
-        assert dict(succ[1]) == {0: [2]} and dict(succ[4]) == {}
+        a = build("a", 4, [(1, 2, "a"), (2, 3, "a")], {3})
+        columns = (list(a.sources), list(a.targets), list(a.labels))
+        starts = _out_starts(a)
+        # states 3 and 4 share one empty range at the end of the columns
+        assert starts == [0, 0, 1, 2, 2, 2]
+        got = _maps_from_ranges(a, starts)
+        assert got[3] == got[4] == got[0] == {} and got[1] == {0: [2]}
+        # the table is the caller's own: writing it leaves the automaton as it was
+        starts[4] = 0
+        assert _out_starts(a) == [0, 0, 1, 2, 2, 2]
+        assert (a.sources, a.targets, a.labels) == columns
 
 
 class TestEdgeView:

@@ -33,7 +33,7 @@ from wnfa.reference import (
     oracle_max_wheeler_autobisimulation,
 )
 
-from conftest import build, image, is_convex, preimage, union
+from conftest import build, image, is_convex, preimage, reference_check, union
 
 
 def rel_strategy(left, right, max_pairs=14):
@@ -287,6 +287,86 @@ class TestBisimulationChecker:
         assert failure.rule == "finality"
         assert failure.pair == (1, 1)
 
+    def test_tokens_the_other_alphabet_lacks(self):
+        # "a" is only on the left, "c" only on the right, and "b" has rank 1
+        # on the left but rank 0 on the right
+        left_ab = build("ab", 2, [(1, 2, "a"), (1, 2, "b")], {2})
+        left_b = build("ab", 2, [(1, 2, "b")], {2})
+        right_b = build("bc", 2, [(1, 2, "b")], {2})
+        right_bc = build("bc", 2, [(1, 2, "b"), (1, 2, "c")], {2})
+        on_a = ((1, 1), (1, 2, 0))  # the pair, and the edge on "a" by its left rank
+        on_c = ((1, 1), (1, 2, 1))  # the pair, and the edge on "c" by its right rank
+        cases = [
+            (left_ab, right_b, CheckFailure("forward", *on_a)),
+            (right_b, left_ab, CheckFailure("backward", *on_a)),
+            (right_bc, left_b, CheckFailure("forward", *on_c)),
+            (left_b, right_bc, CheckFailure("backward", *on_c)),
+            (left_b, right_b, None),
+        ]
+        rel = Relation(2, 2, frozenset({(1, 1), (2, 2)}))
+        for x, y, expected in cases:
+            assert is_bisimulation(x, y, rel) == expected
+            assert is_wheeler_bisimulation(x, y, rel) == expected
+            assert reference_check(x, y, rel, wheeler=True) == expected
+
+    def test_checkers_match_the_definitions_across_alphabets(self):
+        # random automata, not necessarily Wheeler, over random orders of
+        # random token subsets, so an edge's token may have another rank on
+        # the other side, or none; half the right sides are the left side
+        # over a reordered alphabet with one more token, less an edge or so
+        rng = random.Random(23)
+
+        def draw():
+            n = rng.randint(1, 4)
+            tokens = rng.sample("abcd", rng.randint(1, 3))
+            edges = {
+                (rng.randint(1, n), rng.randint(1, n), rng.choice(tokens))
+                for _ in range(rng.randint(0, 2 * n))
+            }
+            return build(tokens, n, edges, {p for p in range(1, n + 1) if rng.random() < 0.5})
+
+        outcomes: dict = {}
+        missing = 0  # edge failures on a token the other side lacks
+        for _ in range(1500):
+            x = draw()
+            y = draw()
+            if rng.random() < 0.5:
+                tokens = [*x.alphabet.symbols, "e"]
+                rng.shuffle(tokens)
+                edges = [(u, v, x.alphabet.symbols[lab]) for u, v, lab in x.edges]
+                y = build(tokens, x.n, [e for e in edges if rng.random() < 0.9], x.finals)
+            pairs = {(i, j) for i in range(1, x.n + 1) for j in range(1, y.n + 1)}
+            if rng.random() < 0.5:
+                density = rng.random()
+                pairs = {p for p in pairs if rng.random() < density}
+            else:
+                # the greatest bisimulation: drop each pair that cannot match
+                pairs = {(i, j) for i, j in pairs if (i in x.finals) == (j in y.finals)}
+                while True:
+                    failure = reference_check(x, y, Relation(x.n, y.n, pairs), False)
+                    if failure is None or failure.rule not in ("forward", "backward"):
+                        break
+                    pairs.discard(failure.pair)
+            rel = Relation(x.n, y.n, frozenset(pairs))
+            for x, y, rel in ((x, y, rel), (y, x, inverse(rel))):
+                for wheeler, check in ((False, is_bisimulation), (True, is_wheeler_bisimulation)):
+                    got = check(x, y, rel)
+                    assert got == reference_check(x, y, rel, wheeler), (x, y, rel)
+                    outcomes[got and got.rule] = outcomes.get(got and got.rule, 0) + 1
+                    if got and got.rule in ("forward", "backward"):
+                        side, other = (x, y) if got.rule == "forward" else (y, x)
+                        missing += side.alphabet.symbols[got.edge[2]] not in other.alphabet
+        assert set(outcomes) == {
+            None,
+            "forward",
+            "backward",
+            "initial",
+            "finality",
+            "image-convexity",
+            "preimage-convexity",
+        }, outcomes
+        assert min(outcomes.values()) >= 10 and missing >= 100, (outcomes, missing)
+
     @pytest.mark.parametrize(
         "rule, text",
         [
@@ -466,8 +546,9 @@ class TestBisimulationChecker:
         assert peaks[1] - peaks[0] < 2_000_000, peaks
 
     def test_bisimulation_memory_is_bounded_by_the_edges(self):
-        # no state has an out-edge, so beyond one list slot (8 bytes) per
-        # state and side the successor maps may take nothing per state
+        # no state has an out-edge; the one offset table both sides share
+        # takes a list slot (8 bytes) per state, and a second list as long
+        # while its running sum is taken; beyond that nothing may grow with n
         n = 200_000
         edgeless = WheelerNfa(n, OrderedAlphabet(("a",)), (), frozenset())
         rel = Relation(n, n, frozenset({(1, 1)}))
