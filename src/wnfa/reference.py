@@ -67,12 +67,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
 
     def renumber(keys: list) -> list[int]:
         ids: dict = {}
-        out = []
-        for key in keys:
-            if key not in ids:
-                ids[key] = len(ids)
-            out.append(ids[key])
-        return out
+        return [ids.setdefault(key, len(ids)) for key in keys]
 
     class_of = renumber([p in a.finals for p in range(1, a.n + 1)])
     while True:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
+from operator import itemgetter
 
 from .automaton import (
     ParseError,
@@ -152,6 +153,11 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     the two alphabets may rank their tokens differently; a failure names the
     label by its rank in its own automaton.
     """
+    return _bisimulation_failure(a, a2, rel, sorted(rel.pairs))
+
+
+def _bisimulation_failure(a: WheelerNfa, a2: WheelerNfa, rel: Relation, pairs):
+    """:func:`is_bisimulation`, given ``rel``'s pairs already sorted as ``pairs``."""
     if (rel.left_size, rel.right_size) != (a.n, a2.n):
         raise ValueError(
             f"relation {rel.left_size} {rel.right_size} does not match the automata, "
@@ -161,7 +167,7 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     starts2 = starts1 if a2 is a else _out_starts(a2)
     targets1, labels1, targets2, labels2 = a.targets, a.labels, a2.targets, a2.labels
     to2, to1 = _ranks_in(a, a2), _ranks_in(a2, a)
-    related, pairs = rel.pairs, sorted(rel.pairs)
+    related = rel.pairs
 
     # labels ascend in a state's range: bisection finds the run of an edge's token
     for u, u2 in pairs:
@@ -194,30 +200,36 @@ def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailur
     return None
 
 
-def _minimal_nonconvex_interval(images: dict[int, list[int]]):
+def _minimal_nonconvex_interval(pairs: list[tuple[int, int]], pos: int):
     """The first minimal interval of positions whose image is not convex.
 
-    ``images[p]`` is the non-empty image of position p as a list without
-    repeats, so its length is its size.  Only the positions the relation
-    relates are keys, so the scan is bounded by it.  Every interval has a
-    convex image iff every per-position image is convex and each non-empty
-    image overlaps or touches the previous non-empty one, since a union of
-    intervals chained that way is an interval, and two nearest non-empty
-    images are together the image of the interval between them.  So one pass
-    finds the failing interval with the smallest right end, and it is
-    minimal: either one position, or the span back to the previous non-empty
-    image.  Returns (interval, image), the image as a frozenset because
-    :class:`CheckFailure` hashes it, or None when every interval's image is
-    convex.
+    ``pairs`` are distinct and sorted by entry ``pos``, a position, then by
+    the other entry, so each related position's image is one ascending run:
+    lo is its first entry, hi its last, and its size is the run's length.
+    Every interval has a convex image iff every per-position image is convex
+    and each non-empty image overlaps or touches the previous non-empty one,
+    since a union of intervals chained that way is an interval, and two
+    nearest non-empty images are together the image of the interval between
+    them.  So one pass over the runs finds the failing interval with the
+    smallest right end, and it is minimal: either one position, or the span
+    back to the previous run.  Returns (interval, image), the image as a
+    frozenset because :class:`CheckFailure` hashes it, or None.
     """
-    prev = prev_lo = prev_hi = None
-    for p in sorted(images):
-        lo, hi = min(image := images[p]), max(image)
-        if hi - lo + 1 != len(image):
-            return (p, p), frozenset(image)
-        if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
-            return (prev, p), frozenset(images[prev] + image)
-        prev, prev_lo, prev_hi = p, lo, hi
+    img = itemgetter(1 - pos)
+    entries = zip(map(itemgetter(pos), pairs), map(img, pairs))
+    prev = p = None
+    # the (None, None) sentinel closes the last run
+    for k, (q, x) in enumerate(chain(entries, [(None, None)])):
+        if q == p:
+            hi = x
+            continue
+        if p is not None:
+            if hi - lo + 1 != k - start:
+                return (p, p), frozenset(map(img, pairs[start:k]))
+            if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
+                return (prev, p), frozenset(map(img, pairs[prev_start:k]))
+            prev, prev_start, prev_lo, prev_hi = p, start, lo, hi
+        p, start, lo, hi = q, k, x, x
     return None
 
 
@@ -226,28 +238,20 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
 
     On top of :func:`is_bisimulation`, every convex set of source states
     must map to a convex set of target states, and symmetrically for
-    preimages.  Under position orders the convex sets are exactly the
-    intervals.  One pass per side over the related positions, in order,
-    decides whether all of them are convex and, when one is not, returns
-    the first minimal interval with a non-convex image as the witness.
+    preimages; under position orders the convex sets are the intervals.
+    Sorted once, the pairs hold each position's image as one run, and a
+    stable sort by the right entry then holds each preimage as one.  One
+    pass per side returns the first minimal interval with a non-convex image.
     """
-    failure = is_bisimulation(a, a2, rel)
+    pairs = sorted(rel.pairs)
+    failure = _bisimulation_failure(a, a2, rel, pairs)
     if failure is not None:
         return failure
-
-    # the pairs are distinct, so each image list holds no repeats
-    fwd: dict[int, list[int]] = {}
-    back: dict[int, list[int]] = {}
-    for i, j in rel.pairs:
-        fwd.setdefault(i, []).append(j)
-        back.setdefault(j, []).append(i)
-
-    for rule, images in (("image-convexity", fwd), ("preimage-convexity", back)):
-        hit = _minimal_nonconvex_interval(images)
-        if hit is not None:
-            interval, image = hit
-            return CheckFailure(rule, interval=interval, image=image)
-    return None
+    hit, rule = _minimal_nonconvex_interval(pairs, 0), "image-convexity"
+    if hit is None:
+        pairs.sort(key=itemgetter(1))
+        hit, rule = _minimal_nonconvex_interval(pairs, 1), "preimage-convexity"
+    return hit and CheckFailure(rule, interval=hit[0], image=hit[1])
 
 
 # --------------------------------------------------------------------------

@@ -257,6 +257,33 @@ def reference_check(a: WheelerNfa, a2: WheelerNfa, rel: Relation, wheeler: bool)
     return None
 
 
+def convexity_by_images(rel: Relation) -> CheckFailure | None:
+    """The convexity checks of :func:`wnfa.is_wheeler_bisimulation`, over image lists.
+
+    One list per related position on each side, with its bounds taken by
+    ``min`` and ``max``.  Positions are scanned ascending: a position whose
+    image is not convex fails alone, and one whose image neither overlaps
+    nor touches the previous non-empty image fails with it.  The pairs are
+    distinct, so each list holds no repeats and its length is its image's
+    size.
+    """
+    fwd: dict[int, list[int]] = {}
+    back: dict[int, list[int]] = {}
+    for i, j in rel.pairs:
+        fwd.setdefault(i, []).append(j)
+        back.setdefault(j, []).append(i)
+    for rule, images in (("image-convexity", fwd), ("preimage-convexity", back)):
+        prev = prev_lo = prev_hi = None
+        for p in sorted(images):
+            lo, hi = min(img := images[p]), max(img)
+            if hi - lo + 1 != len(img):
+                return CheckFailure(rule, interval=(p, p), image=frozenset(img))
+            if prev is not None and (lo > prev_hi + 1 or hi < prev_lo - 1):
+                return CheckFailure(rule, interval=(prev, p), image=frozenset(images[prev] + img))
+            prev, prev_lo, prev_hi = p, lo, hi
+    return None
+
+
 def dfa_language_bisimulation(a: WheelerNfa, a2: WheelerNfa) -> Relation:
     """Relate states of two Wheeler DFAs reached by a common input string.
 

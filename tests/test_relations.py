@@ -33,7 +33,15 @@ from wnfa.reference import (
     oracle_max_wheeler_autobisimulation,
 )
 
-from conftest import build, image, is_convex, preimage, reference_check, union
+from conftest import (
+    build,
+    convexity_by_images,
+    image,
+    is_convex,
+    preimage,
+    reference_check,
+    union,
+)
 
 
 def rel_strategy(left, right, max_pairs=14):
@@ -531,7 +539,8 @@ class TestBisimulationChecker:
 
     def test_convexity_memory_is_bounded_by_the_relation(self):
         # one related pair on a large edgeless automaton: the convexity
-        # checks may hold images for related positions only, not for all n
+        # checks read each related position's image as one run of the
+        # sorted pairs, so nothing they hold may grow with n
         n = 200_000
         edgeless = WheelerNfa(n, OrderedAlphabet(("a",)), (), frozenset())
         rel = Relation(n, n, frozenset({(1, 1)}))
@@ -544,6 +553,67 @@ class TestBisimulationChecker:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2_000_000, peaks
+
+    def test_convexity_memory_is_bounded_by_the_sorted_pairs(self):
+        # the convexity checks read images as runs of the list the
+        # bisimulation scan sorted, and preimages after one in-place stable
+        # sort of it, so past the scan's peak they may add only the sort's
+        # key slots and merge space, at most 16 bytes per pair; one list per
+        # related position on each side would take about 273
+        n = 100_000
+        edgeless = WheelerNfa(n, OrderedAlphabet(("a",)), (), frozenset())
+        rel = Relation.identity(n)
+        peaks = []
+        for check in (is_bisimulation, is_wheeler_bisimulation):
+            tracemalloc.start()
+            try:
+                assert check(edgeless, edgeless, rel) is None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16 * n, peaks
+
+    def test_convexity_checks_match_the_image_lists_at_scale(self):
+        # minimize witnesses of 10^3 to 2 * 10^4 pairs, each mutated ten
+        # times, on edgeless non-accepting automata of their sizes, which
+        # meet every bisimulation rule but the initial pair, so the
+        # relations reach the convexity checks; both directions against the
+        # scan over one image list per related position.  One edge per
+        # label and target merges about 7% of states, so moving a class's
+        # end member into the next class passes now and then
+        rng = random.Random(0xB16)
+        outcomes: dict = {}
+        for _ in range(20):
+            n = round(10 ** rng.uniform(3, 4.3))
+            a = gen_random_wheeler(n, 1, rng.randint(1, 3), rng.randrange(2**30))
+            rel = minimize(a).as_relation()
+            x, y = (
+                WheelerNfa(size, OrderedAlphabet(("a",)), (), frozenset())
+                for size in (rel.left_size, rel.right_size)
+            )
+            listed = sorted(rel.pairs)
+            for _ in range(10):
+                pairs = set(rel.pairs)
+                i, j = rng.choice(listed)
+                mutation = rng.choice(("drop", "distant", "shift"))
+                if mutation == "drop":
+                    pairs.discard((i, j))
+                elif mutation == "distant":
+                    far = (j - rng.randint(2, 9), j + rng.randint(2, 9))
+                    pairs.add((i, rng.choice([k for k in far if 1 <= k <= y.n])))
+                else:
+                    pairs.discard((i, j))
+                    pairs.add((i, min(max(j + rng.choice((-1, 1)), 1), y.n)))
+                mutated = Relation(x.n, y.n, pairs)
+                for left, right, r in ((x, y, mutated), (y, x, inverse(mutated))):
+                    got = is_wheeler_bisimulation(left, right, r)
+                    initial = None if (1, 1) in r.pairs else CheckFailure("initial")
+                    expected = initial or convexity_by_images(r)
+                    assert got == expected
+                    assert hash(got) == hash(expected)
+                    rule = got and got.rule
+                    outcomes[rule] = outcomes.get(rule, 0) + 1
+        assert {None, "image-convexity", "preimage-convexity"} <= set(outcomes), outcomes
 
     def test_bisimulation_memory_is_bounded_by_the_edges(self):
         # no state has an out-edge; the one offset table both sides share
