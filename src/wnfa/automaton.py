@@ -16,7 +16,7 @@ import enum
 import re
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, groupby, islice, repeat
 from operator import itemgetter, le, lt, ne, or_
 
 
@@ -151,16 +151,20 @@ class WheelerNfa(_Record):
                   edge k runs from ``sources[k]`` to ``targets[k]`` on label
                   rank ``labels[k]``; deduplicated and sorted by (source,
                   label, target).  Read-only: they are shared, not copied.
-      finals   -- accepting positions
+      accepting
+               -- the accepting positions as a tuple, ascending and without
+                  repeats
 
     The constructor takes the edges as (source, target, label-rank) triples
-    in any order and enforces only structural sanity (ranges, no duplicate
-    edges).  Use :func:`validate` to check the Wheeler axioms and the
-    reachability assumptions.  :attr:`edges` gives the triples back; the
-    repr shows them, and equality and hash read the columns.
+    in any order, and the accepting positions as any iterable, and enforces
+    only structural sanity (ranges, no duplicate edges).  Use
+    :func:`validate` to check the Wheeler axioms and the reachability
+    assumptions.  :attr:`edges` gives the triples back and :attr:`finals`
+    the accepting positions as a frozenset; the repr shows both, and
+    equality and hash read the columns and ``accepting``.
     """
 
-    _fields = ("n", "alphabet", "sources", "targets", "labels", "finals")
+    _fields = ("n", "alphabet", "sources", "targets", "labels", "accepting")
 
     def __init__(
         self,
@@ -189,23 +193,22 @@ class WheelerNfa(_Record):
             if not (1 <= f <= n):
                 raise ValueError(f"final state {f} out of range 1..{n}")
         sources, labels, targets = _columns(keys)
-        super().__init__(n, alphabet, sources, targets, labels, finals)
+        super().__init__(n, alphabet, sources, targets, labels, tuple(sorted(finals)))
 
     @classmethod
-    def _from_canonical(cls, n, alphabet, sources, targets, labels, finals) -> "WheelerNfa":
+    def _from_canonical(cls, n, alphabet, sources, targets, labels, accepting) -> "WheelerNfa":
         """Skip every check: only for fields already in their checked form.
 
         ``sources``, ``targets`` and ``labels`` must be lists holding
         in-range, duplicate-free edges strictly ascending in (source, label,
-        target) order, and ``finals`` a frozenset inside 1..n.  Callers: both
-        paths of :func:`parse_wnfa`, :func:`~wnfa.minimize.quotient`, the
-        quotient from class representatives that :func:`~wnfa.minimize.minimize`
-        builds, and ``wnfa equiv``, for a quotient a child process built.
+        target) order, and ``accepting`` a tuple of positions inside 1..n,
+        strictly ascending.  Callers: both paths of :func:`parse_wnfa`,
+        :func:`~wnfa.minimize.quotient`, the quotient from class
+        representatives that :func:`~wnfa.minimize.minimize` builds, and
+        ``wnfa equiv``, for a quotient a child process built.
         """
         a = object.__new__(cls)
-        a.__dict__.update(
-            n=n, alphabet=alphabet, sources=sources, targets=targets, labels=labels, finals=finals
-        )
+        a.__dict__.update(zip(cls._fields, (n, alphabet, sources, targets, labels, accepting)))
         return a
 
     @cached_property
@@ -217,15 +220,30 @@ class WheelerNfa(_Record):
         """
         return tuple(zip(self.sources, self.targets, self.labels))
 
+    @cached_property
+    def finals(self) -> frozenset[int]:
+        """The accepting positions as a frozenset.
+
+        Built from :attr:`accepting` the first time it is read, for callers
+        that test membership or combine sets; in this package only the repr
+        reads it.
+        """
+        return frozenset(self.accepting)
+
     def __hash__(self):
         columns = map(tuple, (self.sources, self.targets, self.labels))
-        return hash((self.n, self.alphabet, *columns, self.finals))
+        return hash((self.n, self.alphabet, *columns, self.accepting))
 
     def __repr__(self):
         return (
             f"{self.__class__.__qualname__}(n={self.n!r}, alphabet={self.alphabet!r}, "
             f"edges={self.edges!r}, finals={self.finals!r})"
         )
+
+
+def _runs(values) -> tuple:
+    """The first value of each run of equal neighbours: ascending values without repeats."""
+    return tuple(map(itemgetter(0), groupby(values)))
 
 
 def _columns(triples) -> tuple[list[int], list[int], list[int]]:
@@ -303,6 +321,14 @@ def _out_starts(a: WheelerNfa) -> list[int]:
     return list(accumulate(starts))
 
 
+def _final_flags(a: WheelerNfa) -> bytearray:
+    """Flags over 0..n: 1 at each accepting position."""
+    flags = bytearray(a.n + 1)
+    # __setitem__ returns None, so any() runs the map to its end, in C
+    any(map(flags.__setitem__, a.accepting, repeat(1)))
+    return flags
+
+
 def _ranks_in(a: WheelerNfa, a2: WheelerNfa) -> list[int | None]:
     """``a``'s label ranks as ``a2``'s ranks; None where ``a2`` lacks the token."""
     return [a2.alphabet.rank.get(tok) for tok in a.alphabet.symbols]
@@ -359,7 +385,7 @@ def validate(a: WheelerNfa) -> ValidationReport:
     # reachable from 1 = co-reachable to 1 over the reversed edges
     for kind, seen in (
         (ViolationKind.NOT_REACHABLE, _co_reachable(a.n, targets, sources, (1,))),
-        (ViolationKind.NOT_CO_REACHABLE, _co_reachable(a.n, sources, targets, a.finals)),
+        (ViolationKind.NOT_CO_REACHABLE, _co_reachable(a.n, sources, targets, a.accepting)),
     ):
         u = seen.find(0, 1)
         while u != -1:
@@ -432,7 +458,7 @@ def accepts(a: WheelerNfa, word) -> bool:
         current = {t[k] for u in current for k in range(starts[u], starts[u + 1]) if lab[k] == r}
         if not current:
             return False
-    return any(u in a.finals for u in current)
+    return not current.isdisjoint(a.accepting)
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +533,9 @@ def _parse_columns(text: str) -> WheelerNfa | None:
     label, and one strictly ascending check over (source, label, target)
     tuples, carried from chunk to chunk.  Then the sources ascend too, so
     the range check reads the first and last source and the targets'
-    ``min``/``max``.  Each chunk's three columns extend the automaton's.
+    ``min``/``max``.  Each chunk's three columns extend the automaton's,
+    with one int object per state index: the first read, or the accepting
+    position's, which a dict of those read so far hands out again.
 
     A chunk ends with a newline; say it has m of them.  It passes only with
     4m tokens and exactly 3m spaces and m newlines of whitespace: as each
@@ -532,6 +560,8 @@ def _parse_columns(text: str) -> WheelerNfa | None:
         return None
     n = head.n
     rank = head.alphabet.rank
+    accepting = head.accepting
+    ints = dict(zip(accepting, accepting))  # state index -> its one int object
     sources: list[int] = []
     targets: list[int] = []
     labels: list[int] = []
@@ -565,10 +595,10 @@ def _parse_columns(text: str) -> WheelerNfa | None:
         # the keys ascend, so the sources do too
         if src[0] < 1 or src[-1] > n or min(dst) < 1 or max(dst) > n:
             return None
-        sources += src
-        targets += dst
+        sources += map(ints.setdefault, src, src)
+        targets += map(ints.setdefault, dst, dst)
         labels += lab
-    return WheelerNfa._from_canonical(n, head.alphabet, sources, targets, labels, head.finals)
+    return WheelerNfa._from_canonical(n, head.alphabet, sources, targets, labels, accepting)
 
 
 def _parse_lines(text: str) -> WheelerNfa:
@@ -582,13 +612,13 @@ def _parse_lines(text: str) -> WheelerNfa:
     alphabet: OrderedAlphabet | None = None
     rank: dict[str, int] = {}
     n: int | None = None
-    finals: frozenset[int] | None = None
+    accepting: tuple[int, ...] | None = None
     edges: dict[tuple[int, int, int], None] = {}  # (source, label, target) keys
 
     for lineno, line, toks in _lines(text):
         kw = toks[0]
         if kw == "edge":
-            if finals is None:
+            if accepting is None:
                 raise _error("edge line before final line", lineno, line)
             if len(toks) != 4:
                 raise _error("edge line takes: edge <src> <dst> <tok>", lineno, line)
@@ -625,15 +655,13 @@ def _parse_lines(text: str) -> WheelerNfa:
         elif kw == "final":
             if n is None:
                 raise _error("final line before states line", lineno, line)
-            if finals is not None:
+            if accepting is not None:
                 raise _error("repeated final line", lineno, line)
-            # built straight from the ints, the frozenset's table is half the
-            # size that copying a set would give it
             try:
-                finals = frozenset(map(int, toks[1:]))
+                accepting = _runs(sorted(map(int, toks[1:])))
             except ValueError:
-                finals = None
-            if finals is None or (finals and not (1 <= min(finals) and max(finals) <= n)):
+                accepting = None
+            if accepting is None or (accepting and not (1 <= accepting[0] and accepting[-1] <= n)):
                 # the first bad index, with its column
                 for k in range(1, len(toks)):
                     i = _parse_int("state index", lineno, line, toks, k)
@@ -647,13 +675,13 @@ def _parse_lines(text: str) -> WheelerNfa:
         else:
             raise _error(f"unknown directive {kw!r}", lineno, line)
 
-    for value, name in ((alphabet, "alphabet"), (n, "states"), (finals, "final")):
+    for value, name in ((alphabet, "alphabet"), (n, "states"), (accepting, "final")):
         if value is None:
             raise ParseError(f"missing {name} line", len(text.splitlines()) + 1)
     ordered = sorted(edges)
     del edges
     sources, labels, targets = _columns(ordered)
-    return WheelerNfa._from_canonical(n, alphabet, sources, targets, labels, finals)
+    return WheelerNfa._from_canonical(n, alphabet, sources, targets, labels, accepting)
 
 
 # Lines per block of text that :func:`_blocks` hands a writer
@@ -677,7 +705,7 @@ def _wnfa_blocks(a: WheelerNfa) -> Iterator[str]:
     yield (
         ("alphabet " + " ".join(symbols)).rstrip()
         + f"\nstates {a.n}\n"
-        + ("final " + " ".join(map(str, sorted(a.finals)))).rstrip()
+        + ("final " + " ".join(map(str, a.accepting))).rstrip()
         + "\n"
     )
     yield from _blocks(
@@ -702,11 +730,9 @@ def _dot_quote(s: str) -> str:
 def _dot_blocks(a: WheelerNfa) -> Iterator[str]:
     """The Graphviz rendering of ``a``, block by block."""
     labels = [_dot_quote(s) for s in a.alphabet.symbols]
+    shapes, final = ("circle", "doublecircle"), _final_flags(a)
     yield "digraph wnfa {\n  rankdir=LR;\n"
-    yield from _blocks(
-        f"  {i} [shape={'doublecircle' if i in a.finals else 'circle'}];\n"
-        for i in range(1, a.n + 1)
-    )
+    yield from _blocks(f"  {i} [shape={shapes[final[i]]}];\n" for i in range(1, a.n + 1))
     yield from _blocks(
         f"  {u} -> {v} [label={labels[lab]}];\n"
         for u, v, lab in zip(a.sources, a.targets, a.labels)

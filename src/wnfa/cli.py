@@ -218,7 +218,7 @@ def _prepare(path: str, text: str) -> tuple:
     """Parse, validate and minimize one input of ``equiv``, up to its first failure.
 
     Returns ``(_MALFORMED, message)``, ``(_INVALID, message)`` or
-    ``(_MINIMIZED, (n, symbols, sources, targets, labels, finals,
+    ``(_MINIMIZED, (n, symbols, sources, targets, labels, accepting,
     class_map))``: the quotient's fields, its three edge columns among them,
     and the class map, as data ``marshal`` can send.  It writes nothing, so
     a child can run it.
@@ -238,14 +238,14 @@ def _prepare_parsed(path: str, a: WheelerNfa) -> tuple:
     result = minimize(a)
     q = result.quotient
     return _MINIMIZED, (
-        q.n, q.alphabet.symbols, q.sources, q.targets, q.labels, q.finals, result.class_map
+        q.n, q.alphabet.symbols, q.sources, q.targets, q.labels, q.accepting, result.class_map
     )
 
 
 def _minimized(value: tuple) -> QuotientResult:
     """The :class:`QuotientResult` that :func:`_prepare` sent as ``value``."""
-    n, symbols, sources, targets, labels, finals, class_map = value
-    q = WheelerNfa._from_canonical(n, OrderedAlphabet(symbols), sources, targets, labels, finals)
+    n, symbols, sources, targets, labels, accepting, class_map = value
+    q = WheelerNfa._from_canonical(n, OrderedAlphabet(symbols), sources, targets, labels, accepting)
     return QuotientResult(q, class_map)
 
 

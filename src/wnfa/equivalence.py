@@ -59,7 +59,7 @@ def order_respecting_iso(a: WheelerNfa, a2: WheelerNfa) -> bool:
     ranks are tokens and both sides' edges are in canonical order, so the
     sets are equal iff the three column pairs are.
     """
-    if a.n != a2.n or a.finals != a2.finals or len(a.sources) != len(a2.sources):
+    if a.n != a2.n or a.accepting != a2.accepting or len(a.sources) != len(a2.sources):
         return False
     if a.alphabet == a2.alphabet:
         return a.sources == a2.sources and a.targets == a2.targets and a.labels == a2.labels

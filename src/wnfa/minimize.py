@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from itertools import compress, islice
 
-from .automaton import WheelerNfa, _blocks, _columns, _Record, is_deterministic
+from .automaton import WheelerNfa, _blocks, _columns, _final_flags, _Record, _runs, is_deterministic
 from .relations import BoundaryBits, Relation
 
 TRACE_SEED = "SEED"
@@ -117,9 +117,9 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     """
     n = a.n
     ex = compute_extrema(a)
-    j_min, j_max, z, finals = ex.j_min, ex.j_max, ex.z, a.finals
+    j_min, j_max, z, final = ex.j_min, ex.j_max, ex.z, _final_flags(a)
     bits = [False] * (n + 1)
-    queue = [i for i in range(2, n + 1) if ((i - 1) in finals) != (i in finals) or z[i]]
+    queue = [i for i in range(2, n + 1) if final[i - 1] != final[i] or z[i]]
     for i in queue:
         bits[i] = True
     seeds = len(queue)
@@ -170,12 +170,14 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
 
     The result is Wheeler-bisimilar to ``a`` when ``bits`` encodes an
     autobisimulation, as arrays from :func:`boundary_bits` or the oracle do.
-    Edges and finals are the images under the class map, the edges
-    deduplicated in first-seen order: for an autobisimulation that order is
-    already canonical (a merged state's edges repeat its class's first), so
-    the one sort is a linear pass.  When no two states merge, the result
-    holds ``a`` itself.  Raises ValueError when ``bits`` turns a
-    deterministic input non-deterministic, as only other bits can.
+    Edges and accepting positions are the images under the class map, the
+    edges deduplicated in first-seen order: for an autobisimulation that
+    order is already canonical (a merged state's edges repeat its class's
+    first), so the one sort is a linear pass.  The class map is monotone,
+    so the accepting images ascend, and dropping repeated neighbours leaves
+    them without repeats.  When no two states merge, the result holds ``a``
+    itself.  Raises ValueError when ``bits`` turns a deterministic input
+    non-deterministic, as only other bits can.
     """
     if bits.n != a.n:
         raise ValueError(f"bit array covers {bits.n} states, automaton has {a.n}")
@@ -189,8 +191,8 @@ def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     images = zip(map(at.__getitem__, a.sources), a.labels, map(at.__getitem__, a.targets))
     keys = sorted(dict.fromkeys(images))
     sources, labels, targets = _columns(keys)
-    finals = frozenset(at[f] for f in a.finals)
-    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, sources, targets, labels, finals)
+    accepting = _runs(map(at.__getitem__, a.accepting))
+    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, sources, targets, labels, accepting)
     if is_deterministic(a) and not is_deterministic(q):
         raise ValueError("quotient of a deterministic automaton went non-deterministic")
     return QuotientResult(q, class_map)
@@ -203,9 +205,10 @@ def _quotient_by_representatives(a: WheelerNfa, bits: BoundaryBits) -> QuotientR
     classes, so the quotient's edges are the images of the first members'
     out-edges.  Those come in canonical order, and the class map is
     monotone, so the images are in canonical order too once adjacent
-    duplicates are dropped: no dict, no sort and no determinism check.  On
-    an invalid input, whose bits may be no autobisimulation, the result is
-    meaningless but still canonical, and nothing is raised.
+    duplicates are dropped, and so are the accepting positions' images: no
+    dict, no sort and no determinism check.  On an invalid input, whose bits
+    may be no autobisimulation, the result is meaningless but still
+    canonical, and nothing is raised.
     """
     class_map = bits.class_map
     if class_map[-1] == a.n:
@@ -228,8 +231,8 @@ def _quotient_by_representatives(a: WheelerNfa, bits: BoundaryBits) -> QuotientR
             sources.append(at[u])
             targets.append(v)
             labels.append(lab)
-    finals = frozenset(map(at.__getitem__, a.finals))
-    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, sources, targets, labels, finals)
+    accepting = _runs(map(at.__getitem__, a.accepting))
+    q = WheelerNfa._from_canonical(class_map[-1], a.alphabet, sources, targets, labels, accepting)
     return QuotientResult(q, class_map)
 
 

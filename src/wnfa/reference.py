@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .automaton import WheelerNfa, _out_starts, _Record
+from .automaton import WheelerNfa, _final_flags, _out_starts, _Record
 from .relations import BoundaryBits, Relation, is_wheeler_bisimulation
 
 
@@ -69,7 +69,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
         ids: dict = {}
         return [ids.setdefault(key, len(ids)) for key in keys]
 
-    class_of = renumber([p in a.finals for p in range(1, a.n + 1)])
+    class_of = renumber(_final_flags(a)[1:])
     while True:
         signature = []
         for p in range(1, a.n + 1):
@@ -108,12 +108,12 @@ def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> Boundar
     if n == 1:
         return BoundaryBits(1, ())
 
-    starts = _out_starts(a)
+    starts, final = _out_starts(a), _final_flags(a)
     out_labels = [frozenset(a.labels[starts[p] : starts[p + 1]]) for p in range(n + 1)]
     mergeable = [
         i
         for i in range(2, n + 1)
-        if (i - 1 in a.finals) == (i in a.finals) and out_labels[i - 1] == out_labels[i]
+        if final[i - 1] == final[i] and out_labels[i - 1] == out_labels[i]
     ]
 
     accumulated: set[int] = set()

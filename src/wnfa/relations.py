@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, product
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, product
+from operator import itemgetter, ne
 
 from .automaton import (
     ParseError,
@@ -21,6 +21,7 @@ from .automaton import (
     _Record,
     _check_range,
     _error,
+    _final_flags,
     _lines,
     _out_starts,
     _parse_int,
@@ -163,14 +164,19 @@ def _bisimulation_failure(a: WheelerNfa, a2: WheelerNfa, rel: Relation, pairs):
             f"relation {rel.left_size} {rel.right_size} does not match the automata, "
             f"which have {a.n} and {a2.n} states"
         )
-    starts1 = _out_starts(a)
-    starts2 = starts1 if a2 is a else _out_starts(a2)
+    starts1, final1 = _out_starts(a), _final_flags(a)
+    starts2, final2 = (starts1, final1) if a2 is a else (_out_starts(a2), _final_flags(a2))
     targets1, labels1, targets2, labels2 = a.targets, a.labels, a2.targets, a2.labels
     to2, to1 = _ranks_in(a, a2), _ranks_in(a2, a)
     related = rel.pairs
 
+    def with_out_edges(starts, side):
+        """The pairs whose entry ``side`` has an out-edge, picked out in C."""
+        has_out = bytes(map(ne, starts, islice(starts, 1, None)))  # has_out[u]: u has one
+        return compress(pairs, map(has_out.__getitem__, map(itemgetter(side), pairs)))
+
     # labels ascend in a state's range: bisection finds the run of an edge's token
-    for u, u2 in pairs:
+    for u, u2 in with_out_edges(starts1, 0):
         lo, hi = starts2[u2], starts2[u2 + 1]
         for k in range(starts1[u], starts1[u + 1]):
             v, lab = targets1[k], to2[labels1[k]]
@@ -181,7 +187,7 @@ def _bisimulation_failure(a: WheelerNfa, a2: WheelerNfa, rel: Relation, pairs):
                 j += 1
             else:
                 return CheckFailure("forward", pair=(u, u2), edge=(u, v, labels1[k]))
-    for u, u2 in pairs:
+    for u, u2 in with_out_edges(starts2, 1):
         lo, hi = starts1[u], starts1[u + 1]
         for k in range(starts2[u2], starts2[u2 + 1]):
             v2, lab = targets2[k], to1[labels2[k]]
@@ -195,7 +201,7 @@ def _bisimulation_failure(a: WheelerNfa, a2: WheelerNfa, rel: Relation, pairs):
     if (1, 1) not in related:
         return CheckFailure("initial")
     for u, u2 in pairs:
-        if (u in a.finals) != (u2 in a2.finals):
+        if final1[u] != final2[u2]:
             return CheckFailure("finality", pair=(u, u2))
     return None
 

@@ -1,5 +1,9 @@
+import marshal
 import random
+import time
+import tracemalloc
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -21,7 +25,7 @@ from wnfa import (
     validate,
     wheeler_bisimilar,
 )
-from wnfa import cli
+from wnfa import automaton, cli
 
 from conftest import (
     brute_accepts,
@@ -66,6 +70,59 @@ class TestWheelerNfaConstruction:
         assert a.edges is a.edges  # built once, on first read
         with pytest.raises(AttributeError):
             a.edges = ()
+
+    def test_accepting_is_a_sorted_tuple_from_every_path(self):
+        def check(a, expected):
+            assert type(a.accepting) is tuple and a.accepting == expected
+            assert "finals" not in vars(a)  # the view is built on first read
+            assert a.finals == frozenset(a.accepting)
+
+        edges = ((1, 2, 0), (2, 3, 0), (3, 3, 0))
+        checked = WheelerNfa(3, OrderedAlphabet("a"), edges, [3, 1, 3, 2])
+        check(checked, (1, 2, 3))
+        assert checked.finals is checked.finals  # built once, on first read
+        with pytest.raises(AttributeError):
+            checked.finals = frozenset()
+        doc = "alphabet a\nstates 3\nfinal 3 1 3\nedge 1 2 a\nedge 2 3 a\nedge 3 3 a\n"
+        commented = doc.replace("edge 2", "# note\nedge 2")
+        assert automaton._parse_columns(commented) is None
+        for parsed in (automaton._parse_columns(doc), automaton._parse_lines(commented)):
+            check(parsed, (1, 3))
+        check(parse_wnfa(commented), (1, 3))
+
+        big = gen_random_wheeler(400, 2, 3, 11)
+        check(big, tuple(sorted(set(big.accepting))))
+        chain_ = WheelerNfa(3, OrderedAlphabet("a"), edges, range(1, 4))
+        for a in (big, chain_):
+            result = minimize(a)
+            assert result.quotient.n < a.n
+            expected = tuple(sorted({result.class_map[f - 1] for f in a.accepting}))
+            check(result.quotient, expected)
+            check(quotient(a, boundary_bits(a)).quotient, expected)
+            status, value = cli._prepare("A", serialize_wnfa(a))
+            sent = cli._minimized(marshal.loads(marshal.dumps(value)))
+            assert status == cli._MINIMIZED and sent == result
+            check(sent.quotient, expected)
+        assert minimize(chain_).quotient.accepting == (1,)
+
+    def test_a_canonical_parse_shares_one_int_per_state(self):
+        doc = serialize_wnfa(gen_random_wheeler(3000, 2, 3, 4))
+        a = automaton._parse_columns(doc)
+        states = list(chain(a.sources, a.targets, a.accepting))
+        assert len(set(map(id, states))) == len(set(states)) > 2000
+
+    def test_a_huge_state_count_costs_nothing_per_state_to_parse(self):
+        doc = "alphabet a\nstates 1000000000000\nfinal 1\nedge 1 1 a\n"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            a = parse_wnfa(doc)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (a.n, a.accepting, a.sources) == (10**12, (1,), [1])
+        assert elapsed < 1 and peak < 64 * 2**20, (elapsed, peak)
 
     def test_rejects_duplicate_edges(self):
         al = OrderedAlphabet(("a",))
@@ -347,10 +404,11 @@ class TestSuccessors:
 
 class TestEdgeView:
     def test_no_reader_in_the_package_reads_it(self, monkeypatch):
-        # the package reads the edge columns; with the view made to raise,
-        # every command path still runs
+        # the package reads the edge columns and the accepting tuple; with
+        # the edge and finals views made to raise, every command path still
+        # runs
         def refuse(a):
-            raise AssertionError("the edges view was read")
+            raise AssertionError("a view was read")
 
         nfa = serialize_wnfa(gen_random_wheeler(300, 2, 3, 5))
         dfa = serialize_wnfa(gen_random_wheeler(200, 2, 3, 7, deterministic=True))
@@ -363,13 +421,14 @@ class TestEdgeView:
         ]
         invalid = build("ab", 3, [(1, 2, "b"), (1, 3, "a")], {2, 3})
         monkeypatch.setattr(WheelerNfa, "edges", property(refuse))
+        monkeypatch.setattr(WheelerNfa, "finals", property(refuse))
         automata = [parse_wnfa(text) for text in texts]
         for text, a in zip(texts, automata):
             assert validate(a).ok
             result = minimize(a)
             assert quotient(a, boundary_bits(a, [])) == result
             assert is_bisimulation(a, result.quotient, result.as_relation()) is None
-            assert accepts(a, "") == (1 in a.finals)
+            assert accepts(a, "") == (1 in a.accepting)
             assert parse_wnfa(serialize_wnfa(result.quotient)) == result.quotient
             to_dot(result.quotient)
             status, value = cli._prepare("A", text)

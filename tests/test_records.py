@@ -215,7 +215,7 @@ class TestConstruction:
         assert type(getattr(from_generator, field)) is stored
 
     def test_from_canonical_equals_the_checked_constructor(self):
-        fast = WheelerNfa._from_canonical(2, OrderedAlphabet(("a",)), [1], [2], [0], frozenset({2}))
+        fast = WheelerNfa._from_canonical(2, OrderedAlphabet(("a",)), [1], [2], [0], (2,))
         assert fast == nfa() and hash(fast) == hash(nfa()) and repr(fast) == NFA_REPR
 
     def test_cached_properties_stay_out_of_value(self):
