@@ -58,9 +58,10 @@ from .equivalence import compare_minimized
 from .generators import gen_chain, gen_distinctness, gen_random_wheeler
 from .minimize import (
     QuotientResult,
+    _propagate,
     _quotient_by_representatives,
+    _replay,
     _trace_blocks,
-    boundary_bits,
     minimize,
 )
 from .relations import (
@@ -194,21 +195,22 @@ def cmd_minimize(args) -> int:
         return None if report.ok else report.describe(a)
 
     def minimized():
-        """The quotient and the trace; on an invalid input they are
-        meaningless, but nothing is raised."""
-        trace: list | None = [] if args.trace else None
-        return _quotient_by_representatives(a, boundary_bits(a, trace)), trace
+        """The quotient and the run if traced: meaningless for an invalid input, raising nothing."""
+        bits, run = _propagate(a)
+        if not args.trace:
+            run = None  # held on while the quotient is built, it would raise the peak
+        return _quotient_by_representatives(a, bits), run
 
     fork = chars >= _MINIMIZE_FORK_MIN_CHARS
     report, done = beside(violations, minimized, fork, check_first=True)
     if report is not None:
         return _fail(report, 1)
-    result, trace = done
+    result, run = done
     # each output is built block by block as it is written
     _write(args.output, _wnfa_blocks(result.quotient))
     _write(args.class_map, _class_blocks(result.class_map))
     if args.trace:
-        _write(args.trace, _trace_blocks(trace))
+        _write(args.trace, _trace_blocks(_replay(*run)))
     if args.dot:
         _write(args.dot, _dot_blocks(result.quotient))
     return 0

@@ -15,9 +15,9 @@ alphabet size:
 
 Stage 2 never enqueues a boundary index twice, which is both the linearity
 argument and a testable invariant (at most n-1 enqueues per run).  Its
-queue is also the whole record of the run: the ``--trace`` events are
-replayed from it afterwards, so the propagation loop itself does no trace
-work.
+queue is also the whole record of the run: one generator replays the
+``--trace`` events from it as they are read, so the propagation loop does
+no trace work, and no list of events is held.
 """
 
 from __future__ import annotations
@@ -107,14 +107,18 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     with its greatest in-label).  The result equals the brute-force oracle;
     the differential tests enforce that.
 
-    ``trace``, when given, receives (event, index) records in execution
-    order: SEED, DEQUEUE, SET-from-jmin, SET-from-jmax.  They are replayed
-    from the queue after the loop, so the loop does no trace work: a
-    dequeued boundary i appended exactly the next unmatched queue entries
-    equal to ``j_min[i]`` and then ``j_max[i-1] + 1``, since a boundary
-    already cut sits earlier in the queue, which holds each of 2..n at most
-    once.
+    ``trace``, when given, is extended with the run's (event, index)
+    records, which :func:`_replay` reads off the queue after the loop.
     """
+    bits, run = _propagate(a)
+    if trace is not None:
+        trace.extend(_replay(*run))
+    return bits
+
+
+def _propagate(a: WheelerNfa) -> tuple[BoundaryBits, tuple]:
+    """:func:`boundary_bits`' queue pass: the bits, and the run ``(queue,
+    seeds, j_min, j_max)`` that :func:`_replay` reads the trace off."""
     n = a.n
     ex = compute_extrema(a)
     j_min, j_max, z, final = ex.j_min, ex.j_max, ex.z, _final_flags(a)
@@ -135,20 +139,29 @@ def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
             queue.append(jx + 1)
             bits[jx + 1] = True
 
-    if trace is not None:
-        trace.extend((TRACE_SEED, i) for i in queue[:seeds])
-        k, end = seeds, len(queue)  # queue[k]: the first cut not yet replayed
-        for i in queue:
-            trace.append((TRACE_DEQUEUE, i))
-            if k < end and queue[k] == j_min[i]:
-                trace.append((TRACE_SET_JMIN, queue[k]))
-                k += 1
-            jx = j_max[i - 1]
-            if k < end and jx is not None and queue[k] == jx + 1:
-                trace.append((TRACE_SET_JMAX, queue[k]))
-                k += 1
+    return BoundaryBits(n, islice(bits, 2, None)), (queue, seeds, j_min, j_max)
 
-    return BoundaryBits(n, islice(bits, 2, None))
+
+def _replay(queue: list, seeds: int, j_min: list, j_max: list) -> Iterator[tuple[str, int]]:
+    """The (event, index) records of a run from :func:`_propagate`, in execution order.
+
+    SEED, DEQUEUE, SET-from-jmin, SET-from-jmax, each built as it is read:
+    a dequeued boundary i appended exactly the next unmatched queue entries
+    equal to ``j_min[i]`` and then ``j_max[i-1] + 1``, as a boundary already
+    cut sits earlier in the queue, which holds each of 2..n at most once.
+    """
+    for i in islice(queue, seeds):
+        yield TRACE_SEED, i
+    k, end = seeds, len(queue)  # queue[k]: the first cut not yet replayed
+    for i in queue:
+        yield TRACE_DEQUEUE, i
+        if k < end and queue[k] == j_min[i]:
+            yield TRACE_SET_JMIN, queue[k]
+            k += 1
+        jx = j_max[i - 1]
+        if k < end and jx is not None and queue[k] == jx + 1:
+            yield TRACE_SET_JMAX, queue[k]
+            k += 1
 
 
 class QuotientResult(_Record):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from wnfa import (
 from wnfa import automaton, cli
 from wnfa.cli import main
 
-from conftest import build, unorderable_three_state
+from conftest import build, reference_trace, unorderable_three_state
 
 
 @pytest.fixture
@@ -557,7 +558,7 @@ class TestMinimizeSides:
         if pad:
             break_fork(monkeypatch, "no-fork")
         calls = []
-        monkeypatch.setattr(cli, "boundary_bits", lambda a, trace=None: calls.append(a))
+        monkeypatch.setattr(cli, "_propagate", lambda a: calls.append(a))
         a = parse_wnfa(UNREACHABLE)
         argv = ["minimize", write("u.wnfa", UNREACHABLE + pad)]
         assert run_main(argv, capsys) == (1, "", validate(a).describe(a) + "\n")
@@ -597,13 +598,13 @@ class TestMinimizeSides:
                 time.sleep(60)
             return validate(a)
 
-        def fail(a, trace=None):
+        def fail(a):
             if path == "interrupt":
                 raise KeyboardInterrupt
             raise RuntimeError("the parent's side failed")
 
         monkeypatch.setattr(cli, "validate", validate_or_hang)
-        monkeypatch.setattr(cli, "boundary_bits", fail)
+        monkeypatch.setattr(cli, "_propagate", fail)
         out = tmp / "q.wnfa"
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt if path == "interrupt" else RuntimeError):
@@ -953,6 +954,27 @@ class TestMinimizeWritesBlocks:
         per_run, forks = forks_per_run
         assert len(forks) == per_run
         assert_no_child_left()
+
+
+    def test_the_trace_is_replayed_as_it_is_written(self, tmp_path, monkeypatch):
+        # in process, the trace's records are read off the queue as each
+        # block is written; held whole as a list, they would take this
+        # input's traced peak to about 1.5 times the untraced one
+        monkeypatch.setattr(cli, "_MINIMIZE_FORK_MIN_CHARS", 1 << 62)
+        a = gen_random_wheeler(20000, 2, 8, 9)
+        path, trace = tmp_path / "a.wnfa", tmp_path / "t.tsv"
+        path.write_text(serialize_wnfa(a))
+        argv = ["minimize", str(path), "-o", str(tmp_path / "q.wnfa"), "--class-map", os.devnull]
+        peaks = []
+        for extra in ([], ["--trace", str(trace)]):
+            tracemalloc.start()
+            try:
+                assert main(argv + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+        assert trace.read_text() == format_trace(reference_trace(a)[1])
 
 
 @pytest.fixture
