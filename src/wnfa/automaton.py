@@ -702,12 +702,10 @@ def _blocks(lines) -> Iterator[str]:
 def _wnfa_blocks(a: WheelerNfa) -> Iterator[str]:
     """The canonical ``.wnfa`` document for ``a``, block by block."""
     symbols = a.alphabet.symbols
-    yield (
-        ("alphabet " + " ".join(symbols)).rstrip()
-        + f"\nstates {a.n}\n"
-        + ("final " + " ".join(map(str, a.accepting))).rstrip()
-        + "\n"
-    )
+    yield ("alphabet " + " ".join(symbols)).rstrip() + f"\nstates {a.n}\nfinal"
+    # block by block too: built whole, it would hold one string per accepting position
+    yield from _blocks(f" {p}" for p in a.accepting)
+    yield "\n"
     yield from _blocks(
         f"edge {u} {v} {symbols[lab]}\n" for u, v, lab in zip(a.sources, a.targets, a.labels)
     )

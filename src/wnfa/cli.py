@@ -10,19 +10,22 @@ diagnostic that cannot reach standard error, without changing the exit
 code.  Every path argument accepts ``-`` for the standard streams; an
 automaton path named twice is read once.
 
-``minimize`` and ``equiv`` each run part of their work in one forked
-child, and report exactly what a sequential run would.  ``minimize``
-parses its input, then validates it in the child while this process
-minimizes it; once the child reports the input valid, it writes its
-outputs block by block, so no output is ever held whole.  ``equiv``
-prepares its second input in the child while this process prepares the
-first, drops the first input's text once it is parsed, and writes a
-witness block by block, its pairs read off the two class maps.  Each reaps
-its child on every exit path, and does the child's part itself when fork
-is missing or fails, when the child sends no complete result, or when an
-input is too small to gain from a child; ``minimize`` then validates
-before it minimizes.  There is no option for any of this;
-:mod:`wnfa.forked` has the details.
+On inputs of millions of characters, ``minimize`` and ``equiv`` each run
+part of their work in one forked child, and report exactly what a
+sequential run would.  ``minimize`` parses its input, then validates it in
+the child while this process minimizes it; once the child reports the
+input valid, it writes its outputs block by block, so no output is ever
+held whole.  ``equiv`` prepares its second input in the child while this
+process prepares the first, drops the first input's text once it is
+parsed, and writes a witness block by block, its pairs read off the two
+class maps.  Each reaps its child on every exit path, and does the child's
+part itself when fork is missing or fails, when the child sends no
+complete result, or when an input is shorter than the command's fork
+threshold (see ``_MINIMIZE_FORK_MIN_CHARS``), where a child costs more than
+it saves.  ``minimize`` then validates before it minimizes, and an
+``equiv`` that forked no child drops the second input's text once it is
+parsed, as well.  There is no option for any of this; :mod:`wnfa.forked`
+has the details.
 
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
@@ -72,22 +75,22 @@ from .relations import (
     parse_relation,
 )
 
-# How far :func:`_prepare` got with one input of ``equiv``
+# How far the preparation of one input of ``equiv`` got
 _MALFORMED, _INVALID, _MINIMIZED = range(3)
 
 # Each command forks a child only for an input at least this long: below
 # it, the fork, the child's exit and the copy-on-write faults the fork
-# brings this process cost more than the child saves (2-core host, CPython
-# 3.11, medians of 40 runs; `fork_threshold` in `BENCH_14.json` for `equiv`
-# and in `BENCH_15.json` for `minimize`).  An `equiv` child
-# parses, validates and minimizes the second input: beside first inputs of
-# 393,000 to 559,000 characters it cost 16 ms for a 481-character second
-# input, saved nothing for 23,000 characters, and saved 11 ms for 63,000.
-# A `minimize` child only validates: it cost 2 ms from 7,700 to 33,800
-# characters (faster in at most 9 of 40 pairs), was even at 64,800, and
-# saved 5 ms at 102,000 and 6 ms at 260,000 (faster in 31 of 40).
-_EQUIV_FORK_MIN_CHARS = 1 << 15
-_MINIMIZE_FORK_MIN_CHARS = 1 << 16
+# brings this process cost more than the child saves.  Measured on
+# `gen random --epl 2 --sigma 8` files and their quotients, each command a
+# fresh process forking always or never (shared 2-core host, CPython 3.11,
+# three sweeps of 12-20 alternating pairs; `crossover` in `BENCH_27.json`):
+# one process was faster for `equiv A Q` in 29 of 32 pairs at 1.05 M
+# characters, in 21 of 40 and 23 of 52 at 1.25 and 1.5 M, and in 3 of 40 at
+# 1.79 M; for `minimize`, in 34 of 40 at 1.29 M, in 30 of 52 and 13 of 40
+# at 1.54 and 1.84 M, and in 11 of 52 at 2.19 M.  perfbench's inputs, of
+# about 560,000 characters, run in one process.
+_EQUIV_FORK_MIN_CHARS = 3 << 19  # 1.5 Mi
+_MINIMIZE_FORK_MIN_CHARS = 1 << 21  # 2 Mi
 
 
 def _read(path: str) -> str:
@@ -216,24 +219,14 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def _prepare(path: str, text: str) -> tuple:
-    """Parse, validate and minimize one input of ``equiv``, up to its first failure.
+def _prepare(path: str, a: WheelerNfa) -> tuple:
+    """Validate and minimize one parsed input of ``equiv``, up to its first failure.
 
-    Returns ``(_MALFORMED, message)``, ``(_INVALID, message)`` or
-    ``(_MINIMIZED, (n, symbols, sources, targets, labels, accepting,
-    class_map))``: the quotient's fields, its three edge columns among them,
-    and the class map, as data ``marshal`` can send.  It writes nothing, so
-    a child can run it.
+    Returns ``(_INVALID, message)`` or ``(_MINIMIZED, (n, symbols, sources,
+    targets, labels, accepting, class_map))``: the quotient's fields, its
+    three edge columns among them, and the class map, as data ``marshal``
+    can send.  It writes nothing, so a child can run it.
     """
-    try:
-        a = parse_wnfa(text)
-    except ParseError as exc:
-        return _MALFORMED, f"{path}: {exc}"
-    return _prepare_parsed(path, a)
-
-
-def _prepare_parsed(path: str, a: WheelerNfa) -> tuple:
-    """:func:`_prepare` for an input already parsed into ``a``: its last two outcomes."""
     report = validate(a)
     if not report.ok:
         return _INVALID, f"{path}:\n{report.describe(a)}"
@@ -266,10 +259,17 @@ def cmd_equiv(args) -> int:
         nonlocal text_a
         a = _parse(args.a, text_a, parse_wnfa)
         text_a = None  # held on, it would add its size to the peak memory
-        return _prepare_parsed(args.a, a)
+        return _prepare(args.a, a)
 
     def prepare_b():
-        return _prepare(args.b, text_b)
+        nonlocal text_b
+        try:
+            b = parse_wnfa(text_b)
+        except ParseError as exc:
+            return _MALFORMED, f"{args.b}: {exc}"
+        if not fork:
+            text_b = None  # as A's; a forked parent keeps it for its fallback
+        return _prepare(args.b, b)
 
     fork = min(len(text_a), len(text_b)) >= _EQUIV_FORK_MIN_CHARS
     side_b, side_a = beside(prepare_b, prepare_a, fork)

@@ -99,7 +99,7 @@ class TestWheelerNfaConstruction:
             expected = tuple(sorted({result.class_map[f - 1] for f in a.accepting}))
             check(result.quotient, expected)
             check(quotient(a, boundary_bits(a)).quotient, expected)
-            status, value = cli._prepare("A", serialize_wnfa(a))
+            status, value = cli._prepare("A", parse_wnfa(serialize_wnfa(a)))
             sent = cli._minimized(marshal.loads(marshal.dumps(value)))
             assert status == cli._MINIMIZED and sent == result
             check(sent.quotient, expected)
@@ -431,7 +431,7 @@ class TestEdgeView:
             assert accepts(a, "") == (1 in a.accepting)
             assert parse_wnfa(serialize_wnfa(result.quotient)) == result.quotient
             to_dot(result.quotient)
-            status, value = cli._prepare("A", text)
+            status, value = cli._prepare("A", a)
             assert status == cli._MINIMIZED and cli._minimized(value) == result
         assert minimize(automata[0]).quotient.n < automata[0].n
         assert not is_deterministic(automata[0]) and is_deterministic(automata[2])

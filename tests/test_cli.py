@@ -261,13 +261,32 @@ def break_fork(monkeypatch, how):
         return count_forks(monkeypatch, True)
 
 
-# a trailing comment line long enough that `minimize` and `equiv` fork a child
-PAD = "#" * max(cli._EQUIV_FORK_MIN_CHARS, cli._MINIMIZE_FORK_MIN_CHARS) + "\n"
+# `minimize` and `equiv` fork a child only for inputs of millions of
+# characters; tests of the forked path lower the thresholds to these, so
+# that a trailing comment line of 64 Ki characters takes a short document
+# past both
+EQUIV_FORK_AT, MINIMIZE_FORK_AT = 1 << 15, 1 << 16
+# the real thresholds, as `cli` sets them
+THRESHOLDS = {
+    name: getattr(cli, name) for name in ("_EQUIV_FORK_MIN_CHARS", "_MINIMIZE_FORK_MIN_CHARS")
+}
+PAD = "#" * MINIMIZE_FORK_AT + "\n"
 INPUTS = {
     "ok": CHAIN3 + PAD,
     "malformed": "alphabet a\nstates x\n" + PAD,
     "invalid": UNREACHABLE + PAD,
 }
+
+
+@pytest.fixture
+def low_thresholds(monkeypatch):
+    monkeypatch.setattr(cli, "_EQUIV_FORK_MIN_CHARS", EQUIV_FORK_AT)
+    monkeypatch.setattr(cli, "_MINIMIZE_FORK_MIN_CHARS", MINIMIZE_FORK_AT)
+
+
+def padded(doc, chars):
+    """``doc`` with a trailing comment line that makes it ``chars`` characters long."""
+    return doc + "#" * (chars - len(doc) - 1) + "\n"
 
 
 def equiv_message(kind, path):
@@ -283,6 +302,7 @@ def equiv_message(kind, path):
     }[kind]
 
 
+@pytest.mark.usefixtures("low_thresholds")
 class TestEquivSides:
     """`equiv` prepares its second input in a forked child: the same answers, in the same order."""
 
@@ -460,6 +480,7 @@ CROSSING_DFA = (
 MINIMIZE_OUTPUTS = ("q.wnfa", "m.txt", "t.tsv", "d.dot")
 
 
+@pytest.mark.usefixtures("low_thresholds")
 class TestMinimizeSides:
     """`minimize` validates in a forked child: the same answers, no output for an invalid input."""
 
@@ -539,17 +560,18 @@ class TestMinimizeSides:
         assert_no_child_left()
 
     def test_the_threshold_is_its_own(self, files, capsys, monkeypatch):
-        # long enough for an `equiv` child, too short for a `minimize` one
+        # at the real thresholds: long enough for an `equiv` child, too short
+        # for a `minimize` one
         write, _ = files
-        pad = "#" * cli._EQUIV_FORK_MIN_CHARS + "\n"
-        assert len(CHAIN3 + pad) < cli._MINIMIZE_FORK_MIN_CHARS
-        path = write("ok.wnfa", CHAIN3 + pad)
+        for name, chars in THRESHOLDS.items():
+            monkeypatch.setattr(cli, name, chars)
+        assert cli._EQUIV_FORK_MIN_CHARS < cli._MINIMIZE_FORK_MIN_CHARS
+        path = write("ok.wnfa", padded(CHAIN3, cli._EQUIV_FORK_MIN_CHARS))
         forks = count_forks(monkeypatch, False)
         assert run_main(["minimize", path], capsys)[0] == 0
         assert forks == []
-        assert run_main(["minimize", write("long.wnfa", CHAIN3 + PAD)], capsys)[0] == 0
         assert run_main(["equiv", path, path], capsys)[0] == 0
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("pad", ["", PAD], ids=["short", "no-fork"])
@@ -612,6 +634,36 @@ class TestMinimizeSides:
         assert time.monotonic() - start < 30
         assert_no_child_left()
         assert capsys.readouterr() == ("", "") and not out.exists()
+
+
+class TestForkThresholds:
+    """At the real thresholds: perfbench's inputs run in one process, and each
+    command forks from its threshold on."""
+
+    def test_perfbench_sized_inputs_run_in_one_process(self, sized_inputs, capsys, monkeypatch):
+        paths = sized_inputs["large"]  # as `gen random --n 20000 --seed 5`
+        assert 500_000 < os.path.getsize(paths["a"]) < cli._EQUIV_FORK_MIN_CHARS
+        forks = count_forks(monkeypatch, False)
+        argv = ["minimize", paths["a"], "-o", paths["out"], "--class-map", os.devnull]
+        assert run_main(argv, capsys) == (0, "", "")
+        assert run_main(["equiv", paths["a"], paths["q"]], capsys) == (0, "Isomorphic\n", "")
+        assert run_main(["equiv", paths["a"], paths["b"]], capsys)[0] == 1
+        assert forks == []
+
+    @pytest.mark.parametrize("command", ["minimize", "equiv"])
+    def test_one_child_from_the_threshold_on(self, files, capsys, monkeypatch, command):
+        write, _ = files
+        threshold = {
+            "minimize": cli._MINIMIZE_FORK_MIN_CHARS, "equiv": cli._EQUIV_FORK_MIN_CHARS
+        }[command]
+        forks = count_forks(monkeypatch, False)
+        answers = []
+        for chars, forked in ((threshold - 1, 0), (threshold, 1)):
+            path = write(f"{chars}.wnfa", padded(CHAIN3, chars))
+            answers.append(run_main([command, path] + [path] * (command == "equiv"), capsys))
+            assert len(forks) == forked
+        assert answers[0] == answers[1] and answers[0][0] == 0
+        assert_no_child_left()
 
 
 class TestCheckRelationCommand:
@@ -956,6 +1008,28 @@ class TestMinimizeWritesBlocks:
         assert_no_child_left()
 
 
+    def test_a_long_final_line_is_written_block_by_block(self, tmp_path):
+        # a unary chain whose 300,000 positions all accept is its own
+        # quotient; its final line, built whole, would hold one string per
+        # position (19.7 MiB for the 292,847 of the 10^6-edge quotient)
+        n = 300_000
+        q = WheelerNfa._from_canonical(
+            n, OrderedAlphabet(("a",)), list(range(1, n)), list(range(2, n + 1)), [0] * (n - 1),
+            tuple(range(1, n + 1)),
+        )
+        path = tmp_path / "q.wnfa"
+        tracemalloc.start()
+        try:
+            cli._write(str(path), automaton._wnfa_blocks(q))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text().split("\n")
+        assert lines[:2] == ["alphabet a", f"states {n}"]
+        assert lines[2] == "final " + " ".join(map(str, range(1, n + 1)))
+        assert lines[3:] == [f"edge {u} {u + 1} a" for u in range(1, n)] + [""]
+        assert peak < 2**21, peak
+
     def test_the_trace_is_replayed_as_it_is_written(self, tmp_path, monkeypatch):
         # in process, the trace's records are read off the queue as each
         # block is written; held whole as a list, they would take this
@@ -1197,7 +1271,8 @@ class TestStartup:
     def test_cli_runs_once_under_dash_m(self, files, command):
         # a command module that imported wnfa.cli would run cli.py a second time
         write, _ = files
-        path = write("ok.wnfa", INPUTS["ok"])
+        # padded past the real thresholds, so that the command forks
+        path = write("ok.wnfa", padded(CHAIN3, max(THRESHOLDS.values())))
         argv = [sys.executable, "-X", "importtime", "-m", "wnfa.cli", command, path]
         if command == "equiv":
             argv.append(path)

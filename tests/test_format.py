@@ -79,6 +79,7 @@ def test_empty_final_line():
     # validation (no co-reachable states) but must parse
     a = parse_wnfa("alphabet a\nstates 1\nfinal\n")
     assert a.finals == frozenset()
+    assert serialize_wnfa(a) == "alphabet a\nstates 1\nfinal\n"
 
 
 def test_finals_table_is_built_from_the_ints():
@@ -376,6 +377,7 @@ class TestEdgeColumns:
     def test_a_header_without_edges(self, header_only):
         for doc in ("alphabet a\nstates 1\nfinal 1\n", "alphabet\nstates 2\nfinal\n"):
             assert parse_wnfa(doc) == automaton._parse_lines(doc)
+            assert serialize_wnfa(parse_wnfa(doc)) == doc
 
     def perturbed(self):
         """(name, document) pairs, each one edit away from :attr:`DOC`."""
