@@ -51,13 +51,12 @@ class _Record:
     ``_fields`` as a call would, fills the last fields left out from
     ``_defaults`` and stores each with :data:`_set`; plain assignment and
     deletion raise AttributeError.  Instances keep a ``__dict__``, so
-    ``cached_property`` works.  OrderedAlphabet, WheelerNfa, Relation,
-    BoundaryBits and Partition copy their fields from any iterable, a
-    generator included, and check them in their own ``__init__``, then hand
-    the checked values to this one, so their callers build no copy first;
-    Violation, built once per bad state, stores its two fields itself, which
-    is faster.  WheelerNfa, whose edge fields are lists, has its own hash and
-    repr.
+    ``cached_property`` works.  OrderedAlphabet, WheelerNfa, Relation and
+    BoundaryBits copy their fields from any iterable, a generator included,
+    and check them in their own ``__init__``, then hand the checked values
+    to this one, so their callers build no copy first; Violation, built
+    once per bad state, stores its two fields itself, which is faster.
+    WheelerNfa, whose edge fields are lists, has its own hash and repr.
     """
 
     _fields: tuple[str, ...] = ()

@@ -338,8 +338,7 @@ def cmd_dev_std_bisim(args) -> int:
     from .reference import max_standard_autobisimulation
 
     a = _load(args.input)
-    part = max_standard_autobisimulation(a)
-    _write(None, _class_blocks(c + 1 for c in part.class_of))
+    _write(None, _class_blocks(max_standard_autobisimulation(a)))
     return 0
 
 

@@ -8,66 +8,26 @@ The command line loads this module only for the ``--dev`` commands, and
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 
-from .automaton import WheelerNfa, _final_flags, _out_starts, _Record
-from .relations import BoundaryBits, Relation, is_wheeler_bisimulation
-
-
-class Partition(_Record):
-    """A partition of positions 1..n; classes need not be intervals.
-
-    ``class_of[p - 1]`` is the class id of position p.  Ids are consecutive
-    from 0, numbered by first occurrence.
-    """
-
-    _fields = ("n", "class_of")
-
-    def __init__(self, n: int, class_of: Iterable[int]):
-        class_of = tuple(class_of)
-        if len(class_of) != n:
-            raise ValueError("class_of must assign every position")
-        next_id = 0
-        for c in class_of:
-            if c == next_id:
-                next_id += 1
-            elif c not in range(next_id):
-                raise ValueError("class ids must be consecutive from 0 by first use")
-        super().__init__(n, class_of)
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of) + 1 if self.class_of else 0
-
-    def classes(self) -> list[tuple[int, ...]]:
-        out: list[list[int]] = [[] for _ in range(self.num_classes)]
-        for p, c in enumerate(self.class_of, 1):
-            out[c].append(p)
-        return [tuple(members) for members in out]
-
-    def to_relation(self) -> Relation:
-        pairs = (p for c in self.classes() for p in itertools.product(c, c))
-        return Relation(self.n, self.n, pairs)
+from .automaton import WheelerNfa, _final_flags, _out_starts
+from .relations import BoundaryBits, Relation, _class_pairs, is_wheeler_bisimulation
 
 
-def equivalence_from_bits(b: BoundaryBits) -> Partition:
-    """Read the bit array as a partition: a 0 bit joins adjacent positions."""
-    return Partition(b.n, (c - 1 for c in b.class_map))
+def max_standard_autobisimulation(a: WheelerNfa) -> tuple[int, ...]:
+    """Class map of the coarsest equivalence that is a bisimulation from a to a.
 
-
-def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
-    """Coarsest partition whose class relation is a bisimulation from a to a.
-
-    Plain signature refinement: start from the final/non-final split and
-    split any class containing two states that disagree on the set of
-    (label, successor-class) pairs, until a fixpoint.  O(n |E|) worst case,
-    which is fine for a desk-scale baseline.
+    Entry p - 1 is the class of position p.  Classes need not be intervals,
+    so the map need not be monotone; ids are numbered from 1 in order of
+    first use.  Plain signature refinement: start from the final/non-final
+    split and split any class containing two states that disagree on the
+    set of (label, successor-class) pairs, until a fixpoint.  O(n |E|)
+    worst case, which is fine for a desk-scale baseline.
     """
     starts, targets, labels = _out_starts(a), a.targets, a.labels
 
     def renumber(keys: list) -> list[int]:
         ids: dict = {}
-        return [ids.setdefault(key, len(ids)) for key in keys]
+        return [ids.setdefault(key, len(ids) + 1) for key in keys]
 
     class_of = renumber(_final_flags(a)[1:])
     while True:
@@ -79,7 +39,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> Partition:
             signature.append((class_of[p - 1], sig))
         new_class_of = renumber(signature)
         if new_class_of == class_of:
-            return Partition(a.n, class_of)
+            return tuple(class_of)
         class_of = new_class_of
 
 
@@ -122,12 +82,12 @@ def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> Boundar
             zeros = set(combo)
             if zeros <= accumulated:
                 continue
-            bits = BoundaryBits(n, (i not in zeros for i in range(2, n + 1)))
-            rel = equivalence_from_bits(bits).to_relation()
-            if is_wheeler_bisimulation(a, a, rel) is None:
+            cm = BoundaryBits(n, (i not in zeros for i in range(2, n + 1))).class_map
+            if is_wheeler_bisimulation(a, a, Relation(n, n, _class_pairs(cm, cm))) is None:
                 accumulated |= zeros
 
     result = BoundaryBits(n, (i not in accumulated for i in range(2, n + 1)))
-    check = is_wheeler_bisimulation(a, a, equivalence_from_bits(result).to_relation())
+    cm = result.class_map
+    check = is_wheeler_bisimulation(a, a, Relation(n, n, _class_pairs(cm, cm)))
     assert check is None, f"union of passing equivalences failed the checker: {check}"
     return result

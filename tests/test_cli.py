@@ -1214,6 +1214,15 @@ class TestDevNamespace:
         assert out[0] == "bits 1 1 0 1"
         assert "class 4 3" in out
 
+    def test_oracle_whole_output(self, files, capsys):
+        write, _ = files
+        path = write("g.wnfa", serialize_wnfa(gen_distinctness("abba")))
+        assert main(["--dev", "oracle", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "bits 1 1 0 1 1",
+            *(f"class {p} {c}" for p, c in enumerate((1, 2, 3, 3, 4, 5), 1)),
+        ]
+
     def test_oracle_cap(self, files, capsys):
         write, _ = files
         path = write("c.wnfa", serialize_wnfa(gen_chain(17)))
@@ -1241,9 +1250,18 @@ class TestDevNamespace:
         )
         path = write("t.wnfa", serialize_wnfa(tree))
         assert main(["--dev", "std-bisim", path]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "class 2 2" and lines[2] == "class 3 2"
-        assert lines[3] == "class 4 3" and lines[5] == "class 6 3"
+        assert capsys.readouterr().out.splitlines() == [
+            f"class {p} {c}" for p, c in enumerate((1, 2, 2, 3, 4, 3, 4, 5), 1)
+        ]
+
+    def test_std_bisim_classes_need_not_be_intervals(self, files, capsys):
+        # 2 and 4, and 3 and 5, are bisimilar but not adjacent; ids go by first use
+        write, _ = files
+        path = write("g.wnfa", serialize_wnfa(gen_distinctness("abab")))
+        assert main(["--dev", "std-bisim", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"class {p} {c}" for p, c in enumerate((1, 2, 3, 2, 3, 4), 1)
+        ]
 
 
 class TestStartup:

@@ -21,11 +21,7 @@ from wnfa import (
     quotient,
     validate,
 )
-from wnfa.reference import (
-    equivalence_from_bits,
-    max_standard_autobisimulation,
-    oracle_max_wheeler_autobisimulation,
-)
+from wnfa.reference import max_standard_autobisimulation, oracle_max_wheeler_autobisimulation
 from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX, TRACE_SET_JMIN
 
 from conftest import (
@@ -230,7 +226,7 @@ class TestBoundaryBits:
                 rng.randint(2, 300), 2, rng.randint(1, 4), rng.randrange(2**30),
                 deterministic=True,
             )
-            cls = max_standard_autobisimulation(a).class_of
+            cls = max_standard_autobisimulation(a)
             bits = tuple(cls[i - 2] != cls[i - 1] for i in range(2, a.n + 1))
             assert boundary_bits(a).bits == bits
             merged += not all(bits)
@@ -489,6 +485,4 @@ class TestMinimize:
 
     def test_quotient_equivalence_matches_bits(self):
         g = gen_distinctness("abb")
-        bits = boundary_bits(g)
-        part = equivalence_from_bits(bits)
-        assert part.classes() == [(1,), (2,), (3, 4), (5,)]
+        assert boundary_bits(g).class_map == (1, 2, 3, 3, 4)

@@ -20,7 +20,6 @@ from wnfa import (
     WheelerNfa,
     wheeler_bisimilar,
 )
-from wnfa.reference import Partition
 
 
 def nfa(final=2):
@@ -70,12 +69,6 @@ CASES = {
         lambda: dict(left_size=2, right_size=3, pairs=frozenset({(1, 3)})),
         lambda: dict(left_size=2, right_size=3, pairs=frozenset({(1, 2)})),
         "Relation(left_size=2, right_size=3, pairs=frozenset({(1, 3)}))",
-    ),
-    "Partition": (
-        Partition,
-        lambda: dict(n=3, class_of=(0, 1, 0)),
-        lambda: dict(n=3, class_of=(0, 1, 1)),
-        "Partition(n=3, class_of=(0, 1, 0))",
     ),
     "BoundaryBits": (
         BoundaryBits,
@@ -188,7 +181,6 @@ class TestConstruction:
         a = WheelerNfa(2, OrderedAlphabet("ab"), [[2, 2, 1], [1, 2, 0]], {2})
         assert a.edges == ((1, 2, 0), (2, 2, 1)) and a.finals == frozenset({2})
         assert Relation(2, 2, [[1, 2]]).pairs == frozenset({(1, 2)})
-        assert Partition(2, [0, 0]).class_of == (0, 0)
         assert repr(BoundaryBits(3, [1, 0])) == "BoundaryBits(n=3, bits=(True, False))"
 
     @pytest.mark.parametrize(
@@ -204,7 +196,6 @@ class TestConstruction:
             ),
             (lambda it: Relation(2, 3, it({(1, 3), (2, 1)})), "pairs", frozenset),
             (lambda it: BoundaryBits(3, it((True, False))), "bits", tuple),
-            (lambda it: Partition(3, it((0, 1, 0))), "class_of", tuple),
         ],
     )
     def test_a_one_shot_generator_gives_the_same_immutable_record(self, make, field, stored):
@@ -250,9 +241,6 @@ class TestConstruction:
             (lambda: OrderedAlphabet((1,)), "bad symbol token 1"),
             (lambda: Relation(2, 2, frozenset({(1, 3)})), "pair (1, 3) out of range"),
             (lambda: Relation(2, 2, frozenset({(0, 1)})), "pair (0, 1) out of range"),
-            (lambda: Partition(3, (0, 1)), "class_of must assign every position"),
-            (lambda: Partition(3, (0, 2, 1)), "class ids must be consecutive from 0 by first use"),
-            (lambda: Partition(2, (1, 0)), "class ids must be consecutive from 0 by first use"),
             (lambda: BoundaryBits(3, (True,)), "bit array must cover boundaries 2..n"),
             (lambda: BoundaryBits(1, (True,)), "bit array must cover boundaries 2..n"),
             (lambda: BoundaryBits(0, ()), "state count must be >= 1"),

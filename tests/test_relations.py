@@ -26,12 +26,7 @@ from wnfa import (
     serialize_relation,
 )
 from wnfa.relations import _class_pairs
-from wnfa.reference import (
-    Partition,
-    equivalence_from_bits,
-    max_standard_autobisimulation,
-    oracle_max_wheeler_autobisimulation,
-)
+from wnfa.reference import max_standard_autobisimulation, oracle_max_wheeler_autobisimulation
 
 from conftest import (
     build,
@@ -198,39 +193,22 @@ class TestRecordArguments:
 
 class TestBitsAndPartitions:
     def test_all_ones_is_singletons(self):
-        part = equivalence_from_bits(BoundaryBits(4, (True, True, True)))
-        assert part.classes() == [(1,), (2,), (3,), (4,)]
+        assert BoundaryBits(4, (True, True, True)).class_map == (1, 2, 3, 4)
 
     def test_all_zeros_is_one_class(self):
-        part = equivalence_from_bits(BoundaryBits(4, (False, False, False)))
-        assert part.classes() == [(1, 2, 3, 4)]
+        assert BoundaryBits(4, (False, False, False)).class_map == (1, 1, 1, 1)
 
     def test_mixed_bits(self):
-        part = equivalence_from_bits(BoundaryBits(4, (True, False, True)))
-        assert part.classes() == [(1,), (2, 3), (4,)]
+        assert BoundaryBits(4, (True, False, True)).class_map == (1, 2, 2, 3)
 
     def test_single_state(self):
-        part = equivalence_from_bits(BoundaryBits(1, ()))
-        assert part.classes() == [(1,)]
+        assert BoundaryBits(1, ()).class_map == (1,)
 
     def test_class_map(self):
         bits = BoundaryBits(5, (True, False, False, True))
         assert bits.class_map == (1, 2, 2, 2, 3)
         assert bits.num_classes == 3
         assert BoundaryBits(1, ()).class_map == (1,)
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition(2, (1, 0))  # ids must appear in order of first use
-        with pytest.raises(ValueError):
-            Partition(3, (0, 1))
-        with pytest.raises(ValueError):
-            Partition(3, (0, -1, 1))
-
-    def test_partition_validation_is_linear(self):
-        start = time.perf_counter()
-        Partition(50_000, tuple(range(50_000)))
-        assert time.perf_counter() - start < 1.0
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):
@@ -631,33 +609,37 @@ class TestBisimulationChecker:
         assert peak < 20 * n, peak
 
 
+def same_class(class_map) -> Relation:
+    """The pairs of positions that share a class; classes need not be intervals."""
+    n = len(class_map)
+    pairs = ((p, q) for p, q in itertools.product(range(1, n + 1), repeat=2)
+             if class_map[p - 1] == class_map[q - 1])
+    return Relation(n, n, pairs)
+
+
 class TestStandardBisimulationBaseline:
     def test_two_level_tree_classes(self, two_level_tree):
-        part = max_standard_autobisimulation(two_level_tree)
-        assert set(part.classes()) == {(1,), (2, 3), (4, 6), (5, 7), (8,)}
+        assert max_standard_autobisimulation(two_level_tree) == (1, 2, 2, 3, 4, 3, 4, 5)
 
     def test_single_state(self):
         a = build("a", 1, [(1, 1, "a")], {1})
-        assert max_standard_autobisimulation(a).classes() == [(1,)]
+        assert max_standard_autobisimulation(a) == (1,)
 
     def test_branchy_merges_to_three_classes(self, branchy):
-        part = max_standard_autobisimulation(branchy)
-        assert set(part.classes()) == {(1,), (2, 4), (3,)}
+        assert max_standard_autobisimulation(branchy) == (1, 2, 3, 2)
 
     def test_class_relation_is_a_bisimulation(self):
         rng = random.Random(11)
         for _ in range(25):
             a = gen_random_wheeler(rng.randint(1, 10), 2, rng.randint(1, 3), rng.randrange(2**30))
-            part = max_standard_autobisimulation(a)
-            assert is_bisimulation(a, a, part.to_relation()) is None
+            assert is_bisimulation(a, a, same_class(max_standard_autobisimulation(a))) is None
 
     def test_coarseness_against_exhaustive_merges(self):
-        # no pair outside the partition can be added while keeping a bisimulation
+        # no pair outside the classes can be added while keeping a bisimulation
         rng = random.Random(12)
         for _ in range(10):
             a = gen_random_wheeler(rng.randint(2, 7), 2, rng.randint(1, 2), rng.randrange(2**30))
-            part = max_standard_autobisimulation(a)
-            rel = part.to_relation()
+            rel = same_class(max_standard_autobisimulation(a))
             for u in range(1, a.n + 1):
                 for v in range(1, a.n + 1):
                     if (u, v) in rel.pairs:
@@ -676,7 +658,7 @@ class TestOracle:
         assert bits.bits.count(False) == 1
         # the merged pair is the two b-reading states, positions 3 and 4
         assert bits.bit(4) is False
-        assert equivalence_from_bits(bits).num_classes == 4
+        assert bits.class_map == (1, 2, 3, 3, 4)
 
     def test_single_state(self):
         a = build("a", 1, [], {1})
@@ -695,7 +677,7 @@ class TestOracle:
             passing_zero_sets = []
             for mask in range(2 ** (n - 1)):
                 bits = BoundaryBits(n, tuple(not (mask >> k & 1) for k in range(n - 1)))
-                rel = equivalence_from_bits(bits).to_relation()
+                rel = Relation(n, n, _class_pairs(bits.class_map, bits.class_map))
                 if is_wheeler_bisimulation(a, a, rel) is None:
                     passing_zero_sets.append({i for i in range(2, n + 1) if not bits.bit(i)})
             expected_zeros = set().union(*passing_zero_sets) if passing_zero_sets else set()
@@ -714,7 +696,7 @@ class TestOracle:
             passing = []
             for mask in range(2 ** (n - 1)):
                 bits = BoundaryBits(n, tuple(not (mask >> k & 1) for k in range(n - 1)))
-                rel = equivalence_from_bits(bits).to_relation()
+                rel = Relation(n, n, _class_pairs(bits.class_map, bits.class_map))
                 if is_wheeler_bisimulation(a, a, rel) is None:
                     passing.append(rel)
             for r1, r2 in itertools.combinations(passing, 2):
