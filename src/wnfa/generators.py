@@ -45,6 +45,17 @@ def _symbol_pool(sigma: int) -> list[str]:
     return [*letters[:sigma], *(f"s{i}" for i in range(len(letters), sigma))]
 
 
+def _below(getrandbits, w: int) -> int:
+    """A uniform draw from range(w): w.bit_length() bits at a time until one is below w."""
+    if w < 1:
+        raise ValueError(f"width must be >= 1, got {w}")
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r
+
+
 def gen_random_wheeler(
     n: int,
     edges_per_label_target: int,
@@ -69,6 +80,9 @@ def gen_random_wheeler(
     With ``deterministic=True`` each (source, label) pair is used at most
     once and the result is a Wheeler DFA.
 
+    Integers are drawn from ``getrandbits`` by the rule ``randint`` uses
+    inside CPython, so a seed gives the same document on CPython 3.10-3.13.
+
     Raises ValueError when ``n``, ``edges_per_label_target`` or ``sigma``
     is below 1.
     """
@@ -80,50 +94,47 @@ def gen_random_wheeler(
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     rng = random.Random(seed)
+    rand, getrandbits = rng.random, rng.getrandbits
 
     alphabet = OrderedAlphabet(_symbol_pool(sigma))
     if n == 1:
-        edges = [(1, 1, 0)] if rng.random() < 0.5 else []
+        edges = [(1, 1, 0)] if rand() < 0.5 else []
         return WheelerNfa(1, alphabet, edges, {1})
 
     # Consecutive label runs over positions 2..n.
-    n_labels = rng.randint(1, min(sigma, n - 1))
+    n_labels = 1 + _below(getrandbits, min(sigma, n - 1))
     cut_points = sorted(rng.sample(range(3, n + 1), n_labels - 1)) if n_labels > 1 else []
     starts = [2] + cut_points
     ends = cut_points + [n + 1]
     label_ranks = sorted(rng.sample(range(sigma), n_labels))
 
     edges: list[tuple[int, int, int]] = []
+    append = edges.append
     for run_idx, (start, end, lab) in enumerate(zip(starts, ends, label_ranks)):
-        targets = list(range(start, end))
-        if run_idx > 0 and not deterministic and rng.random() < 0.35:
+        if run_idx > 0 and not deterministic and rand() < 0.35:
             # Reuse the previous run's last target: that state then has two
             # distinct in-labels, which Axiom 2 permits at a run boundary.
-            targets = [start - 1] + targets
-        elif run_idx == 0 and not deterministic and rng.random() < 0.3:
-            targets = [1] + targets
+            start -= 1
+        elif run_idx == 0 and not deterministic and rand() < 0.3:
+            append((1, 1, lab))  # a self-loop on state 1 keeps the floor at 1
 
         floor = 1
-        for pos, t in enumerate(targets):
-            is_last = pos == len(targets) - 1
-            if t == 1:
-                sources = [1]  # forced self-loop keeps the floor at 1
-            else:
-                # One source strictly below the target keeps t reachable.
-                base = rng.randint(floor, t - 1)
-                if deterministic:
-                    hi = n if is_last else t - 1
-                else:
-                    hi = n if is_last else t
+        for t in range(start, end):
+            # One source strictly below the target keeps t reachable.
+            top = base = floor + _below(getrandbits, t - floor)
+            extra = _below(getrandbits, epl) + (rand() < 0.3)
+            if extra:
+                w = (n if t == end - 1 else t - 1 if deterministic else t) - base + 1
                 sources = {base}
-                extra = rng.randint(0, epl - 1) + (1 if rng.random() < 0.3 else 0)
                 for _ in range(extra):
-                    sources.add(rng.randint(base, hi))
-                sources = sorted(sources)
-            edges.extend((u, t, lab) for u in sources)
-            floor = sources[-1] + 1 if deterministic else sources[-1]
+                    sources.add(base + _below(getrandbits, w))
+                for top in sorted(sources):  # top ends on the largest source
+                    append((top, t, lab))
+            else:
+                append((base, t, lab))
+            floor = top + 1 if deterministic else top
 
-    finals = {n} | {i for i in range(1, n + 1) if rng.random() < 0.3}
+    finals = {n} | {i for i in range(1, n + 1) if rand() < 0.3}
 
     # Co-reachability repair: anything that cannot reach a final state is
     # made final itself.

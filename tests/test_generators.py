@@ -11,6 +11,7 @@ from wnfa import (
     serialize_wnfa,
     validate,
 )
+from wnfa.generators import _below
 
 
 class TestChain:
@@ -141,6 +142,42 @@ class TestRandom:
         h.update(serialize_wnfa(gen_random_wheeler(5000, 2, 4, 7, deterministic=deterministic)).encode())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "n, deterministic, seed, digest",
+        [
+            (20000, False, 1, "db7c8addfcae6cfef5002e077209235aa23e1ded451995abfe25746456f9e6ed"),
+            (20000, False, 101, "e98d35d583ff38153ce741c6cba654d290d229ba8c96feb7a44db14a3976f1e6"),
+            (5000, True, 1, "188c2aee9743d6dcb29e6a9631aeb883a4c3abe0f003d7be4f40c9c7574a4acd"),
+            (5000, True, 101, "b1d77c12f217ace4b89103b9a2f1024b9ec51ae989acfc97a4a891e4c5bba190"),
+        ],
+    )
+    def test_benchmark_inputs_are_pinned(self, n, deterministic, seed, digest):
+        # the shapes perfbench's random-nfa and staircase-dfa workloads generate
+        a = gen_random_wheeler(n, 2, 8, seed, deterministic=deterministic)
+        assert hashlib.sha256(serialize_wnfa(a).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "epl, deterministic, digest",
+        [
+            (4, False, "8df6dd5796164b963284b8a078a519f7eeafc1d24b8cbe774de87186a0a015fb"),
+            (4, True, "f711e72b1ee13849dcc00c8c1d8224154915311d82377f687544bb85f9d88bae"),
+            (5, False, "f80f8627228a4a6a93cd5192d4f2ea7271c83a2464753e3c5edb75ac7cc483d0"),
+            (5, True, "808ee22ae8889bc0ca184315d531ea7bf8d4b1c27be3d2982003700941008bfe"),
+            (6, False, "db83fad649906a08028a1e2efccdffe45fded5e46786b3bf3c645563f15ec91f"),
+            (6, True, "f54c30419153854bc26e44b97616e4ae54162b5c803748f364cbc93b3e50d996"),
+        ],
+    )
+    def test_wide_targets_are_pinned(self, epl, deterministic, digest):
+        # with 2 to 14 states a target's extra draws can outnumber the
+        # sources they are drawn from
+        h = hashlib.sha256()
+        for seed in range(40):
+            n, sigma = 2 + seed % 13, (1, 2, 4, 8)[seed % 4]
+            a = gen_random_wheeler(n, epl, sigma, seed, deterministic=deterministic)
+            h.update(serialize_wnfa(a).encode())
+        h.update(serialize_wnfa(gen_random_wheeler(3000, epl, 8, epl, deterministic=deterministic)).encode())
+        assert h.hexdigest() == digest
+
     @pytest.mark.parametrize("name", ["n", "edges_per_label_target", "sigma"])
     def test_rejects_values_below_one(self, name):
         params = dict(n=5, edges_per_label_target=2, sigma=3, seed=1)
@@ -148,3 +185,20 @@ class TestRandom:
         with pytest.raises(ValueError) as err:
             gen_random_wheeler(**params)
         assert str(err.value) == f"{name} must be >= 1, got 0"
+
+
+class TestBelow:
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2024])
+    def test_draws_match_randrange(self, seed):
+        # the same rejection rule on the same bits: the generator's draws
+        # equal those of randint on every supported interpreter
+        mine, ref = random.Random(seed), random.Random(seed)
+        for w in range(1, 301):
+            assert [_below(mine.getrandbits, w) for _ in range(5)] == [ref.randrange(w) for _ in range(5)]
+        assert mine.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_empty_width_raises(self, w):
+        with pytest.raises(ValueError) as err:
+            _below(random.Random(1).getrandbits, w)
+        assert str(err.value) == f"width must be >= 1, got {w}"
