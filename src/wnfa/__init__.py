@@ -2,9 +2,14 @@
 
 Validation of Wheeler orders, linear-time minimization via the maximum
 order-respecting autobisimulation, Wheeler-bisimilarity decisions, and
-checkers for candidate bisimulation relations.  The brute-force references
-that cross-check them are in :mod:`wnfa.reference`, which importing this
-package does not load.
+checkers for candidate bisimulation relations.
+
+Importing the package loads :mod:`wnfa.automaton` and :mod:`wnfa.minimize`.
+The names from :mod:`wnfa.relations`, :mod:`wnfa.equivalence` and
+:mod:`wnfa.generators` load their module when one of them is first read,
+so a program that reads none of a module's names never compiles it.  The
+brute-force references that cross-check the pipeline are in
+:mod:`wnfa.reference`, which importing this package does not load.
 """
 
 from .automaton import (
@@ -21,13 +26,11 @@ from .automaton import (
     to_dot,
     validate,
 )
-from .equivalence import (
-    EquivalenceVerdict,
-    order_respecting_iso,
-    wheeler_bisimilar,
-)
-from .generators import gen_chain, gen_distinctness, gen_random_wheeler
+
+# eager: the first import of the submodule sets this package's `minimize` to
+# the module, which would shadow a function of that name read lazily
 from .minimize import (
+    BoundaryBits,
     IncidenceExtrema,
     QuotientResult,
     boundary_bits,
@@ -36,19 +39,43 @@ from .minimize import (
     minimize,
     quotient,
 )
+
+# name -> the submodule that defines it, imported when the name is first read;
 # compose and inverse stay importable from here, but are left out of __all__:
 # nothing in the package calls them
-from .relations import (
-    BoundaryBits,
-    CheckFailure,
-    Relation,
-    compose,
-    inverse,
-    is_bisimulation,
-    is_wheeler_bisimulation,
-    parse_relation,
-    serialize_relation,
-)
+_LAZY = {
+    "gen_chain": "generators",
+    "gen_distinctness": "generators",
+    "gen_random_wheeler": "generators",
+    "CheckFailure": "relations",
+    "Relation": "relations",
+    "compose": "relations",
+    "inverse": "relations",
+    "is_bisimulation": "relations",
+    "is_wheeler_bisimulation": "relations",
+    "parse_relation": "relations",
+    "serialize_relation": "relations",
+    "EquivalenceVerdict": "equivalence",
+    "order_respecting_iso": "equivalence",
+    "wheeler_bisimilar": "equivalence",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads find it without this call
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __all__ = [
     "OrderedAlphabet",

@@ -27,6 +27,15 @@ it saves.  ``minimize`` then validates before it minimizes, and an
 parsed, as well.  There is no option for any of this; :mod:`wnfa.forked`
 has the details.
 
+At import this module loads only :mod:`wnfa.automaton` and
+:mod:`wnfa.minimize`, which importing the package loads anyway.  A command
+that needs another module imports it at its top, before it reads any
+input: ``minimize`` :mod:`wnfa.forked`, ``equiv`` :mod:`wnfa.forked` and
+:mod:`wnfa.equivalence`, and :mod:`wnfa.relations` only to write a
+witness, ``check-relation`` :mod:`wnfa.relations`, and ``gen``
+:mod:`wnfa.generators`.  So a process compiles only the modules its
+command runs, and what compiling took is freed before the input is read.
+
 :func:`main` runs each command with the cyclic garbage collector off, and
 restores the caller's setting when the command returns or raises; importing
 the package leaves it alone.  Automata, relations and traces are acyclic:
@@ -34,8 +43,10 @@ tuples, lists, dicts and records of ints and strings.  The collector finds
 nothing among them, yet rescans them whenever enough allocations pile up,
 which took 10-13% of each command's time on 2e4-state inputs.  The only
 cyclic garbage a command leaves is a constant number of argparse objects,
-whatever the input size; the caller's next collection, or the
-interpreter's exit, frees them.
+whatever the input size, which the caller's next collection frees.  The
+``wnfa`` program, :func:`entry`, never collects them: once :func:`main` is
+done, it freezes every object still alive, so the interpreter's collections
+at exit scan nothing.
 """
 
 from __future__ import annotations
@@ -57,8 +68,6 @@ from .automaton import (
     parse_wnfa,
     validate,
 )
-from .equivalence import compare_minimized
-from .generators import gen_chain, gen_distinctness, gen_random_wheeler
 from .minimize import (
     QuotientResult,
     _propagate,
@@ -66,13 +75,6 @@ from .minimize import (
     _replay,
     _trace_blocks,
     minimize,
-)
-from .relations import (
-    _class_pairs,
-    _relation_blocks,
-    is_bisimulation,
-    is_wheeler_bisimulation,
-    parse_relation,
 )
 
 # How far the preparation of one input of ``equiv`` got
@@ -186,7 +188,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    # imported here, so that only minimize and equiv compile the fork code
     from .forked import beside
 
     text = _text(args.input)
@@ -245,6 +246,7 @@ def _minimized(value: tuple) -> QuotientResult:
 
 
 def cmd_equiv(args) -> int:
+    from .equivalence import compare_minimized
     from .forked import beside
 
     text_a = _text(args.a)
@@ -282,6 +284,8 @@ def cmd_equiv(args) -> int:
     _write(None, [verdict.reason + "\n"])
     if verdict.bisimilar:
         if args.witness:
+            from .relations import _class_pairs, _relation_blocks
+
             # the witness's pairs, read off the class maps as they are written
             m1, m2 = (r.class_map for r in verdict.results)
             _write(args.witness, _relation_blocks(len(m1), len(m2), _class_pairs(m1, m2)))
@@ -290,6 +294,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_check_relation(args) -> int:
+    from .relations import is_bisimulation, is_wheeler_bisimulation, parse_relation
+
     a = _load(args.a)
     b = a if args.b == args.a else _load(args.b)
     rel = _load(args.relation, parse_relation)
@@ -303,6 +309,8 @@ def cmd_check_relation(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import gen_chain, gen_distinctness, gen_random_wheeler
+
     try:
         if args.family == "chain":
             a = gen_chain(args.k)
@@ -435,5 +443,19 @@ def main(argv=None) -> int:
             _to_devnull(sys.stderr)
 
 
+def entry() -> None:
+    """The ``wnfa`` program: :func:`main` on ``sys.argv``, exiting with its code.
+
+    On every way out, ``SystemExit`` included, it moves every object still
+    alive to the collector's permanent generation (``gc.freeze()``), so the
+    collections the interpreter runs at exit scan none of them: the process
+    is ending, and what is not freed by reference counts goes with it.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -16,7 +16,6 @@ from functools import cached_property
 
 from .automaton import WheelerNfa, _Record, _ranks_in
 from .minimize import QuotientResult, minimize
-from .relations import Relation, _class_pairs
 
 REASON_SIZE_MISMATCH = "SizeMismatch"
 REASON_NOT_ISOMORPHIC = "NotIsomorphic"
@@ -43,6 +42,8 @@ class EquivalenceVerdict(_Record):
         """
         if self.results is None:
             return None
+        from .relations import Relation, _class_pairs
+
         m1, m2 = (r.class_map for r in self.results)
         return Relation(len(m1), len(m2), _class_pairs(m1, m2))
 

@@ -9,7 +9,8 @@ alphabet size:
    whether its outgoing labels differ from those of the state before it.
 2. :func:`boundary_bits` runs a single queue-driven propagation that marks
    each boundary between order-adjacent states that must separate.  The 0
-   bits that survive encode the maximum order-respecting autobisimulation.
+   bits that survive, a :class:`BoundaryBits`, encode the maximum
+   order-respecting autobisimulation.
 3. :func:`quotient` collapses each maximal 0-run into one state;
    :func:`minimize` reads the same quotient off each class's first member.
 
@@ -22,11 +23,10 @@ no trace work, and no list of events is held.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from itertools import compress, islice
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, compress, islice
 
 from .automaton import WheelerNfa, _blocks, _columns, _final_flags, _Record, _runs, is_deterministic
-from .relations import BoundaryBits, Relation
 
 TRACE_SEED = "SEED"
 TRACE_DEQUEUE = "DEQUEUE"
@@ -93,6 +93,42 @@ def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
         z[s + 1] = True
 
     return IncidenceExtrema(a_min, j_min, a_max, j_max, z)
+
+
+class BoundaryBits(_Record):
+    """Class boundaries of a convex equivalence on positions 1..n.
+
+    ``bit(i)`` (for 2 <= i <= n) is True when positions i-1 and i fall in
+    different classes, so the classes are exactly the maximal 0-runs.
+    """
+
+    _fields = ("n", "bits")
+
+    def __init__(self, n: int, bits: Iterable[bool]):
+        if n < 1:
+            raise ValueError("state count must be >= 1")
+        bits = tuple(map(bool, bits))
+        if len(bits) != n - 1:
+            raise ValueError("bit array must cover boundaries 2..n")
+        super().__init__(n, bits)
+
+    def bit(self, i: int) -> bool:
+        if not (2 <= i <= self.n):
+            raise IndexError(f"boundary index {i} out of range 2..{self.n}")
+        return self.bits[i - 2]
+
+    @property
+    def num_classes(self) -> int:
+        return 1 + sum(self.bits)
+
+    @property
+    def class_map(self) -> tuple[int, ...]:
+        """``class_map[p - 1]`` is the class of position p, numbered from 1.
+
+        Each 1 bit starts a new class, so the map is monotone
+        non-decreasing and onto 1..num_classes.
+        """
+        return tuple(accumulate(self.bits, initial=1))
 
 
 def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
@@ -175,6 +211,8 @@ class QuotientResult(_Record):
     _fields = ("quotient", "class_map")
 
     def as_relation(self) -> Relation:
+        from .relations import Relation
+
         return Relation(len(self.class_map), self.quotient.n, enumerate(self.class_map, 1))
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 
 from .automaton import WheelerNfa, _final_flags, _out_starts
-from .relations import BoundaryBits, Relation, _class_pairs, is_wheeler_bisimulation
+from .minimize import BoundaryBits
+from .relations import Relation, _class_pairs, is_wheeler_bisimulation
 
 
 def max_standard_autobisimulation(a: WheelerNfa) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Relation algebra, boundary-bit arrays, bisimulation checkers, ``.rel`` I/O.
+"""Relation algebra, bisimulation checkers, ``.rel`` I/O.
 
 The checkers stick to the definitions: they judge the relations users
 hand to ``check-relation``, and the brute-force references in
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, compress, islice, product
+from itertools import chain, compress, islice, product
 from operator import itemgetter, ne
 
 from .automaton import (
@@ -79,42 +79,6 @@ def _class_pairs(class_map1, class_map2) -> Iterator[tuple[int, int]]:
         ps = range(bisect_left(class_map1, c) + 1, bisect_right(class_map1, c) + 1)
         qs = range(bisect_left(class_map2, c) + 1, bisect_right(class_map2, c) + 1)
         yield from product(ps, qs)
-
-
-class BoundaryBits(_Record):
-    """Class boundaries of a convex equivalence on positions 1..n.
-
-    ``bit(i)`` (for 2 <= i <= n) is True when positions i-1 and i fall in
-    different classes, so the classes are exactly the maximal 0-runs.
-    """
-
-    _fields = ("n", "bits")
-
-    def __init__(self, n: int, bits: Iterable[bool]):
-        if n < 1:
-            raise ValueError("state count must be >= 1")
-        bits = tuple(map(bool, bits))
-        if len(bits) != n - 1:
-            raise ValueError("bit array must cover boundaries 2..n")
-        super().__init__(n, bits)
-
-    def bit(self, i: int) -> bool:
-        if not (2 <= i <= self.n):
-            raise IndexError(f"boundary index {i} out of range 2..{self.n}")
-        return self.bits[i - 2]
-
-    @property
-    def num_classes(self) -> int:
-        return 1 + sum(self.bits)
-
-    @property
-    def class_map(self) -> tuple[int, ...]:
-        """``class_map[p - 1]`` is the class of position p, numbered from 1.
-
-        Each 1 bit starts a new class, so the map is monotone
-        non-decreasing and onto 1..num_classes.
-        """
-        return tuple(accumulate(self.bits, initial=1))
 
 
 class CheckFailure(_Record):

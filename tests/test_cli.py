@@ -1091,6 +1091,7 @@ class TestCollector:
         if path == "stdout-closed":
             monkeypatch.setattr("sys.stdout", None)
         (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
         if code is None:
             with pytest.raises(SystemExit) as err:
                 main(argv)
@@ -1098,6 +1099,44 @@ class TestCollector:
         else:
             assert main(argv) == code
         assert gc.isenabled() is enabled
+        # only the program entry freezes, as the process ends
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("via", ["dash-m", "console-script"])
+    @pytest.mark.parametrize("path", ["exit-0", "exit-1", "exit-2", "usage-error"])
+    def test_the_program_freezes_the_heap_on_exit(self, files, via, path):
+        write, tmp = files
+        argv, code = {
+            "exit-0": (["gen", "chain", "3"], 0),
+            "exit-1": (["validate", write("u.wnfa", UNREACHABLE)], 1),
+            "exit-2": (["validate", str(tmp / "missing.wnfa")], 2),
+            "usage-error": (["gen", "chain", "x"], 2),
+        }[path]
+        enter = {
+            # what `python -m wnfa.cli` runs
+            "dash-m": "import runpy\nrunpy.run_module('wnfa.cli', run_name='__main__')\n",
+            # what an installed `wnfa` runs: the entry [project.scripts] names
+            "console-script": "from wnfa.cli import entry\nsys.exit(entry())\n",
+        }[via]
+        # exit handlers run after the entry has returned or raised
+        code_text = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n'))\n"
+            "assert gc.get_freeze_count() == 0\n"
+            f"sys.argv[1:] = {argv!r}\n" + enter
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        run = subprocess.run(
+            [sys.executable, "-c", code_text], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == code, run.stderr
+        last = run.stderr.splitlines()[-1]
+        assert last.startswith("frozen ") and int(last.split()[1]) > 0, run.stderr
+
+    def test_the_console_script_is_the_program_entry(self):
+        text = (Path(SRC).parent / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+        assert scripts.splitlines() == ['wnfa = "wnfa.cli:entry"']
 
 
 SIZES = {"small": 200, "large": 20_000}
@@ -1282,8 +1321,42 @@ class TestStartup:
         assert not added & {"dataclasses", "inspect", "logging", "wnfa.reference"}
         # only gen_random_wheeler needs random, and no command needs string
         assert not added & {"random", "string"}
-        # only minimize and equiv import the fork and pipe code
-        assert "wnfa.forked" not in added
+        # the commands that need the other modules import them
+        assert not added & {"wnfa.relations", "wnfa.equivalence", "wnfa.generators", "wnfa.forked"}
+
+    @pytest.mark.parametrize(
+        "args, extra",
+        [
+            (["validate", "{a}"], set()),
+            (["minimize", "{a}", "--trace", "{out}"], {"forked"}),
+            (["equiv", "{a}", "{a}"], {"forked", "equivalence"}),
+            (["equiv", "{a}", "{a}", "--witness", "{out}"], {"forked", "equivalence", "relations"}),
+            (["gen", "chain", "3"], {"generators"}),
+            (["gen", "random", "--n", "5"], {"generators"}),
+            (["check-relation", "{a}", "{a}", "{rel}", "--wheeler"], {"relations"}),
+        ],
+        ids=[
+            "validate", "minimize", "equiv", "equiv-witness", "gen-chain", "gen-random",
+            "check-relation",
+        ],
+    )
+    def test_each_command_loads_only_the_modules_it_runs(self, files, args, extra):
+        # beyond the package and the two modules it loads eagerly
+        write, tmp = files
+        paths = dict(a=write("a.wnfa", CHAIN3), rel=write("r.rel", IDENTITY3), out=str(tmp / "out"))
+        argv = [sys.executable, "-X", "importtime", "-m", "wnfa.cli"]
+        argv += [arg.format(**paths) for arg in args]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        run = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in run.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        package = {name for name in loaded if name.split(".")[0] == "wnfa"}
+        eager = {"wnfa", "wnfa.automaton", "wnfa.minimize"}
+        assert package == eager | {f"wnfa.{module}" for module in extra}
 
     @pytest.mark.parametrize("command", ["minimize", "equiv"])
     def test_cli_runs_once_under_dash_m(self, files, command):
