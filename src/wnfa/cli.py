@@ -16,16 +16,12 @@ sequential run would.  ``minimize`` parses its input, then validates it in
 the child while this process minimizes it; once the child reports the
 input valid, it writes its outputs block by block, so no output is ever
 held whole.  ``equiv`` prepares its second input in the child while this
-process prepares the first, drops the first input's text once it is
-parsed, and writes a witness block by block, its pairs read off the two
-class maps.  Each reaps its child on every exit path, and does the child's
-part itself when fork is missing or fails, when the child sends no
-complete result, or when an input is shorter than the command's fork
-threshold (see ``_MINIMIZE_FORK_MIN_CHARS``), where a child costs more than
-it saves.  ``minimize`` then validates before it minimizes, and an
-``equiv`` that forked no child drops the second input's text once it is
-parsed, as well.  There is no option for any of this; :mod:`wnfa.forked`
-has the details.
+process prepares the first, drops each input's text once it has parsed
+it, and writes a witness block by block, its pairs read off the two
+class maps.  Each reaps its child on every exit path.  Whether a child is
+forked, and what runs here when none is or it sends nothing, is
+:mod:`wnfa.forked`'s rule; without a child, ``minimize`` validates before
+it minimizes.  There is no option for any of this.
 
 At import this module loads only :mod:`wnfa.automaton` and
 :mod:`wnfa.minimize`, which importing the package loads anyway.  A command
@@ -80,34 +76,31 @@ from .minimize import (
 # How far the preparation of one input of ``equiv`` got
 _MALFORMED, _INVALID, _MINIMIZED = range(3)
 
-# Each command forks a child only for an input at least this long: below
-# it, the fork, the child's exit and the copy-on-write faults the fork
-# brings this process cost more than the child saves.  Measured on
-# `gen random --epl 2 --sigma 8` files and their quotients, each command a
-# fresh process forking always or never (shared 2-core host, CPython 3.11,
-# three sweeps of 12-20 alternating pairs; `crossover` in `BENCH_27.json`):
-# one process was faster for `equiv A Q` in 29 of 32 pairs at 1.05 M
-# characters, in 21 of 40 and 23 of 52 at 1.25 and 1.5 M, and in 3 of 40 at
-# 1.79 M; for `minimize`, in 34 of 40 at 1.29 M, in 30 of 52 and 13 of 40
-# at 1.54 and 1.84 M, and in 11 of 52 at 2.19 M.  perfbench's inputs, of
-# about 560,000 characters, run in one process.
-_EQUIV_FORK_MIN_CHARS = 3 << 19  # 1.5 Mi
-_MINIMIZE_FORK_MIN_CHARS = 1 << 21  # 2 Mi
-
-
 def _read(path: str) -> str:
+    """The text at ``path``, decoded strictly, its CRLF and CR line ends made LF.
+
+    Bytes that are not UTF-8 raise a :class:`ParseError` at the line and
+    column, in the decoded text, of the first of them.
+    """
     if path == "-":
         if sys.stdin is None:
             # started with no stdin at all, e.g. under `<&-`
             raise OSError("standard input is closed")
-        # the raw bytes, so that stdin decodes as strictly as a file does,
-        # and its line ends translated as a file's are
-        text = sys.stdin.buffer.read().decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return text
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines the parser counts; the sentinel ends the last one
+        lines = (data[: exc.start].decode("utf-8") + "\0").splitlines()
+        message = f"can't decode byte {data[exc.start]:#04x} as UTF-8: {exc.reason}"
+        raise ParseError(message, len(lines), len(lines[-1])) from None
+    del data  # held on, it would add its size to the peak memory
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _write(path: str | None, blocks) -> None:
@@ -163,7 +156,7 @@ def _text(path: str) -> str:
     """The text at ``path``; a failure to read it exits 2."""
     try:
         return _read(path)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ParseError) as exc:
         raise SystemExit(_fail(f"{path}: {exc}")) from None
 
 
@@ -205,8 +198,7 @@ def cmd_minimize(args) -> int:
             run = None  # held on while the quotient is built, it would raise the peak
         return _quotient_by_representatives(a, bits), run
 
-    fork = chars >= _MINIMIZE_FORK_MIN_CHARS
-    report, done = beside(violations, minimized, fork, check_first=True)
+    report, done = beside(violations, minimized, chars, check_first=True)
     if report is not None:
         return _fail(report, 1)
     result, run = done
@@ -253,7 +245,7 @@ def cmd_equiv(args) -> int:
     try:
         # a path named twice is read once: a second read of `-` would be empty
         text_b = text_a if args.b == args.a else _read(args.b)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ParseError) as exc:
         _parse(args.a, text_a, parse_wnfa)  # A's parse error is reported ahead of B's read error
         raise SystemExit(_fail(f"{args.b}: {exc}")) from None
 
@@ -269,12 +261,10 @@ def cmd_equiv(args) -> int:
             b = parse_wnfa(text_b)
         except ParseError as exc:
             return _MALFORMED, f"{args.b}: {exc}"
-        if not fork:
-            text_b = None  # as A's; a forked parent keeps it for its fallback
+        text_b = None  # as A's: whichever process parses B never reads its text again
         return _prepare(args.b, b)
 
-    fork = min(len(text_a), len(text_b)) >= _EQUIV_FORK_MIN_CHARS
-    side_b, side_a = beside(prepare_b, prepare_a, fork)
+    side_b, side_a = beside(prepare_b, prepare_a, min(len(text_a), len(text_b)))
     if side_b[0] == _MALFORMED:
         raise SystemExit(_fail(side_b[1]))
     for kind, value in (side_a, side_b):

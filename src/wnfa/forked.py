@@ -2,8 +2,16 @@
 
 ``minimize`` validates its input in a child while this process minimizes
 it; ``equiv`` prepares its second input in a child while this process
-prepares the first.  :func:`beside` is the fork, the pipe, the kill, the
-reap and the in-process fallback that both share.
+prepares the first.  :func:`beside` is the fork rule, the fork, the pipe,
+the kill, the reap and the in-process fallback that both share.
+
+A child is forked only for an input of ``_MIN_CHARS`` characters or more,
+and only where this process may run on two CPUs.  Below the threshold the
+fork costs more than the child saves (`crossover` in `BENCH_27.json`); on
+one CPU the two processes take turns, and at 10^6 edges the fork made
+`minimize` and `equiv A Q` slower (`BENCH_31.json`).  The CPUs are those
+of the affinity mask, or the machine's where there is none; a cgroup CPU
+quota, as `docker --cpus=1` sets, shows in neither and is not read.
 
 The child writes only to its pipe, never to stdout or stderr: the
 ``marshal``-ed value its function returned.  It leaves through
@@ -25,20 +33,23 @@ import os
 # POSIX fixes its number; the signal module would be one more import
 _SIGKILL = 9
 
+_MIN_CHARS = 3 << 19  # 1.5 Mi: the shortest input a child is forked for
 
-def beside(child_work, own_work, fork: bool, check_first: bool = False) -> tuple:
+
+def beside(child_work, own_work, chars: int, check_first: bool = False) -> tuple:
     """``(child_work(), own_work())``, the first from a forked child.
 
-    A child is forked only when ``fork`` is true: each command forks for an
-    input long enough to gain from it.  ``child_work`` must write nothing
-    and return a value ``marshal`` can send.  When no child is forked, or
-    fork is missing or fails, both run here: ``own_work`` first, or, with
-    ``check_first``, ``child_work`` first and ``own_work`` only if that
-    returned None (its value is then None too).  When the child sends no
-    complete result, ``child_work`` runs here after ``own_work``.  Once a
-    child is forked, ``child_work`` never runs here if ``own_work`` raises.
+    A child is forked only when the input's length ``chars`` reaches
+    ``_MIN_CHARS`` and, counted only then, two CPUs are usable.
+    ``child_work`` must write nothing and return a value ``marshal`` can
+    send.  When no child is forked, or fork is missing or fails, both run
+    here: ``own_work`` first, or, with ``check_first``, ``child_work`` first
+    and ``own_work`` only if that returned None (its value is then None
+    too).  When the child sends no complete result, ``child_work`` runs here
+    after ``own_work``.  Once a child is forked, ``child_work`` never runs
+    here if ``own_work`` raises.
     """
-    child = _fork(child_work) if fork else None
+    child = _fork(child_work) if chars >= _MIN_CHARS and _cpus() > 1 else None
     if child is None and check_first:
         checked = child_work()
         return checked, (own_work() if checked is None else None)
@@ -54,6 +65,13 @@ def beside(child_work, own_work, fork: bool, check_first: bool = False) -> tuple
             os.kill(pid, _SIGKILL)  # a no-op once the child has exited
             os.waitpid(pid, 0)
     return (child_work() if received is None else received[0]), own
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fork(work) -> tuple[int, int] | None:

@@ -12,6 +12,7 @@ import pytest
 
 from wnfa import (
     OrderedAlphabet,
+    ParseError,
     WheelerNfa,
     boundary_bits,
     compose,
@@ -29,7 +30,7 @@ from wnfa import (
     validate,
     wheeler_bisimilar,
 )
-from wnfa import automaton, cli
+from wnfa import automaton, cli, forked
 from wnfa.cli import main
 
 from conftest import build, reference_trace, unorderable_three_state
@@ -46,6 +47,8 @@ def files(tmp_path):
 
 
 CHAIN3 = "alphabet a\nstates 3\nfinal 1 3\nedge 1 1 a\nedge 1 2 a\nedge 2 3 a\n"
+# what follows the line and column of a 0xff byte in an input
+NOT_UTF8 = "can't decode byte 0xff as UTF-8: invalid start byte"
 IDENTITY3 = "relation 3 3\npair 1 1\npair 2 2\npair 3 3\n"
 # an input whose state 3 is neither reachable nor co-reachable
 UNREACHABLE = "alphabet a\nstates 3\nfinal 2\nedge 1 2 a\n"
@@ -89,7 +92,7 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as err:
             main(["validate", "-"])
         assert err.value.code == 2
-        assert capsys.readouterr().err.startswith("-: 'utf-8' codec can't decode byte 0xff")
+        assert capsys.readouterr() == ("", f"-: line 4, column 10: {NOT_UTF8}\n")
 
     def test_stdin_closed(self, capsys, monkeypatch):
         # a process started with stdin closed sees sys.stdin as None
@@ -262,15 +265,10 @@ def break_fork(monkeypatch, how):
 
 
 # `minimize` and `equiv` fork a child only for inputs of millions of
-# characters; tests of the forked path lower the thresholds to these, so
-# that a trailing comment line of 64 Ki characters takes a short document
-# past both
-EQUIV_FORK_AT, MINIMIZE_FORK_AT = 1 << 15, 1 << 16
-# the real thresholds, as `cli` sets them
-THRESHOLDS = {
-    name: getattr(cli, name) for name in ("_EQUIV_FORK_MIN_CHARS", "_MINIMIZE_FORK_MIN_CHARS")
-}
-PAD = "#" * MINIMIZE_FORK_AT + "\n"
+# characters; tests of the forked path lower the threshold to this, so that
+# a trailing comment line of 32 Ki characters takes a short document past it
+FORK_AT = 1 << 15
+PAD = "#" * FORK_AT + "\n"
 INPUTS = {
     "ok": CHAIN3 + PAD,
     "malformed": "alphabet a\nstates x\n" + PAD,
@@ -280,8 +278,20 @@ INPUTS = {
 
 @pytest.fixture
 def low_thresholds(monkeypatch):
-    monkeypatch.setattr(cli, "_EQUIV_FORK_MIN_CHARS", EQUIV_FORK_AT)
-    monkeypatch.setattr(cli, "_MINIMIZE_FORK_MIN_CHARS", MINIMIZE_FORK_AT)
+    monkeypatch.setattr(forked, "_MIN_CHARS", FORK_AT)
+
+
+def usable_cpus(monkeypatch, count):
+    """Make ``wnfa.forked`` see ``count`` usable CPUs; a list that grows by one per look."""
+    looks = []
+    monkeypatch.setattr(forked, "_cpus", lambda: looks.append(count) or count)
+    return looks
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Whatever the host, the rule forks on the input's size alone."""
+    return usable_cpus(monkeypatch, 2)
 
 
 def padded(doc, chars):
@@ -299,21 +309,28 @@ def equiv_message(kind, path):
             "NotCoReachable: state 3 has no path to a final state\n"
         ),
         "closed": f"{path}: standard input is closed\n",
+        "undecodable": f"{path}: line 2, column 8: {NOT_UTF8}\n",
     }[kind]
 
 
-@pytest.mark.usefixtures("low_thresholds")
+@pytest.mark.usefixtures("low_thresholds", "two_cpus")
 class TestEquivSides:
     """`equiv` prepares its second input in a forked child: the same answers, in the same order."""
 
     def paths(self, files, kind_a, kind_b):
         write, tmp = files
-        return [
-            str(tmp / f"{side}.wnfa") if kind == "missing" else write(f"{side}.wnfa", INPUTS[kind])
-            for side, kind in (("a", kind_a), ("b", kind_b))
-        ]
+        paths = []
+        for side, kind in (("a", kind_a), ("b", kind_b)):
+            path = tmp / f"{side}.wnfa"
+            if kind == "undecodable":
+                path.write_bytes(b"alphabet a\nstates \xff\n" + PAD.encode())
+            elif kind != "missing":
+                write(path.name, INPUTS[kind])
+            paths.append(str(path))
+        return paths
 
-    # A's read or parse error, then B's, then A's validation report, then B's
+    # A's read or parse error, then B's, then A's validation report, then B's;
+    # bytes that are not UTF-8 are a read error
     @pytest.mark.parametrize(
         "kind_a, kind_b, reported",
         [
@@ -332,6 +349,12 @@ class TestEquivSides:
             ("ok", "missing", "b"),
             ("ok", "malformed", "b"),
             ("ok", "invalid", "b"),
+            ("undecodable", "missing", "a"),
+            ("undecodable", "malformed", "a"),
+            ("missing", "undecodable", "a"),
+            ("malformed", "undecodable", "a"),
+            ("invalid", "undecodable", "b"),
+            ("ok", "undecodable", "b"),
         ],
     )
     def test_error_order(self, files, capsys, kind_a, kind_b, reported):
@@ -444,6 +467,16 @@ class TestEquivSides:
             assert len(forks) == len(corpus)
         assert_no_child_left()
 
+    def test_no_child_on_one_cpu(self, files, capsys, monkeypatch):
+        corpus, witness = self.corpus(files)
+        forks = count_forks(monkeypatch, False)
+        expected = self.answers(corpus, witness, capsys)
+        assert len(forks) == len(corpus)
+        usable_cpus(monkeypatch, 1)
+        assert self.answers(corpus, witness, capsys) == expected
+        assert len(forks) == len(corpus)
+        assert_no_child_left()
+
     @pytest.mark.parametrize("path", ["first-malformed", "interrupt", "error"])
     def test_a_running_child_is_killed_and_reaped(self, files, capsys, monkeypatch, path):
         # the child hangs in its parse, so only a kill ends it in time
@@ -480,7 +513,7 @@ CROSSING_DFA = (
 MINIMIZE_OUTPUTS = ("q.wnfa", "m.txt", "t.tsv", "d.dot")
 
 
-@pytest.mark.usefixtures("low_thresholds")
+@pytest.mark.usefixtures("low_thresholds", "two_cpus")
 class TestMinimizeSides:
     """`minimize` validates in a forked child: the same answers, no output for an invalid input."""
 
@@ -559,25 +592,25 @@ class TestMinimizeSides:
         assert len(forks) == len(runs) // 2  # the padded half
         assert_no_child_left()
 
-    def test_the_threshold_is_its_own(self, files, capsys, monkeypatch):
-        # at the real thresholds: long enough for an `equiv` child, too short
-        # for a `minimize` one
-        write, _ = files
-        for name, chars in THRESHOLDS.items():
-            monkeypatch.setattr(cli, name, chars)
-        assert cli._EQUIV_FORK_MIN_CHARS < cli._MINIMIZE_FORK_MIN_CHARS
-        path = write("ok.wnfa", padded(CHAIN3, cli._EQUIV_FORK_MIN_CHARS))
+    def test_no_child_on_one_cpu(self, files, capsys, monkeypatch):
+        runs = self.corpus(files)
         forks = count_forks(monkeypatch, False)
-        assert run_main(["minimize", path], capsys)[0] == 0
-        assert forks == []
-        assert run_main(["equiv", path, path], capsys)[0] == 0
-        assert len(forks) == 1
+        expected = self.answers(runs, files, capsys)
+        assert len(forks) == len(runs) // 2
+        usable_cpus(monkeypatch, 1)
+        assert self.answers(runs, files, capsys) == expected
+        assert len(forks) == len(runs) // 2
         assert_no_child_left()
 
-    @pytest.mark.parametrize("pad", ["", PAD], ids=["short", "no-fork"])
-    def test_in_process_an_invalid_input_is_not_minimized(self, files, capsys, monkeypatch, pad):
+    @pytest.mark.parametrize(
+        "pad, cpus", [("", 2), (PAD, 2), (PAD, 1)], ids=["short", "no-fork", "one-cpu"]
+    )
+    def test_in_process_an_invalid_input_is_not_minimized(
+        self, files, capsys, monkeypatch, pad, cpus
+    ):
         write, _ = files
-        if pad:
+        usable_cpus(monkeypatch, cpus)
+        if pad and cpus > 1:
             break_fork(monkeypatch, "no-fork")
         calls = []
         monkeypatch.setattr(cli, "_propagate", lambda a: calls.append(a))
@@ -637,33 +670,42 @@ class TestMinimizeSides:
 
 
 class TestForkThresholds:
-    """At the real thresholds: perfbench's inputs run in one process, and each
-    command forks from its threshold on."""
+    """At the real threshold: perfbench's inputs run in one process, and both
+    commands fork from the threshold on."""
 
-    def test_perfbench_sized_inputs_run_in_one_process(self, sized_inputs, capsys, monkeypatch):
+    def test_perfbench_sized_inputs_run_in_one_process(
+        self, sized_inputs, capsys, monkeypatch, two_cpus
+    ):
         paths = sized_inputs["large"]  # as `gen random --n 20000 --seed 5`
-        assert 500_000 < os.path.getsize(paths["a"]) < cli._EQUIV_FORK_MIN_CHARS
+        assert 500_000 < os.path.getsize(paths["a"]) < forked._MIN_CHARS
         forks = count_forks(monkeypatch, False)
         argv = ["minimize", paths["a"], "-o", paths["out"], "--class-map", os.devnull]
         assert run_main(argv, capsys) == (0, "", "")
         assert run_main(["equiv", paths["a"], paths["q"]], capsys) == (0, "Isomorphic\n", "")
         assert run_main(["equiv", paths["a"], paths["b"]], capsys)[0] == 1
         assert forks == []
+        assert two_cpus == []  # below the threshold the CPUs are not counted
 
     @pytest.mark.parametrize("command", ["minimize", "equiv"])
+    @pytest.mark.usefixtures("two_cpus")
     def test_one_child_from_the_threshold_on(self, files, capsys, monkeypatch, command):
         write, _ = files
-        threshold = {
-            "minimize": cli._MINIMIZE_FORK_MIN_CHARS, "equiv": cli._EQUIV_FORK_MIN_CHARS
-        }[command]
         forks = count_forks(monkeypatch, False)
         answers = []
-        for chars, forked in ((threshold - 1, 0), (threshold, 1)):
+        for chars, children in ((forked._MIN_CHARS - 1, 0), (forked._MIN_CHARS, 1)):
             path = write(f"{chars}.wnfa", padded(CHAIN3, chars))
             answers.append(run_main([command, path] + [path] * (command == "equiv"), capsys))
-            assert len(forks) == forked
+            assert len(forks) == children
         assert answers[0] == answers[1] and answers[0][0] == 0
         assert_no_child_left()
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert forked._cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert forked._cpus() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert forked._cpus() == 1
 
 
 class TestCheckRelationCommand:
@@ -805,7 +847,7 @@ class TestUnreadableInput:
         path = tmp_path / "x.wnfa"
         path.write_bytes(b"alphabet a\nstates 1\nfinal 1\nedge 1 1 \xff\n")
         text = self.exit_two(["validate", str(path)], capsys, path)
-        assert "can't decode byte 0xff" in text
+        assert text == f"{path}: line 4, column 10: {NOT_UTF8}\n"
 
     def test_relation_not_utf8(self, files, capsys):
         write, tmp = files
@@ -813,7 +855,48 @@ class TestUnreadableInput:
         r = tmp / "r.rel"
         r.write_bytes(b"relation 3 3\npair 1 1\xff\n")
         text = self.exit_two(["check-relation", a, a, str(r), "--standard"], capsys, r)
-        assert "can't decode byte 0xff" in text
+        assert text == f"{r}: line 2, column 9: {NOT_UTF8}\n"
+
+    def test_relation_not_utf8_on_stdin(self, files, capsys, monkeypatch):
+        write, _ = files
+        a = write("c.wnfa", CHAIN3)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"relation 3 3\n\xff")))
+        text = self.exit_two(["check-relation", a, a, "-", "--wheeler"], capsys, "-")
+        assert text == f"-: line 2, column 1: {NOT_UTF8}\n"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "alphabet a\nstates 1\nfinal 1\n",
+            "alphabet a\r\nstates 1\r\nfinal 1\r\n",
+            "alphabet a\rstates 1\rfinal 1\r",
+            "alphabet a\nstates 1\x0bfinal 1\n# \ufeff\u00e9\u3000\U0001f600\n",
+        ],
+        ids=["lf", "crlf", "cr", "vt-wide"],
+    )
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_the_position_is_the_parsers(self, tmp_path, capsys, monkeypatch, head, source):
+        # a byte that is not UTF-8 is placed where the parser places an
+        # unknown symbol in its stead: lines and characters of the decoded
+        # text, with its line ends translated
+        line = "edge 1\u3000\u00a01 "
+        with pytest.raises(ParseError) as err:
+            parse_wnfa(head + line + "zz\n")
+        where = f"line {err.value.line}, column {err.value.column}"
+        data = (head + line).encode() + b"\xff\n"
+        path = "-" if source == "stdin" else str(tmp_path / "x.wnfa")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        else:
+            Path(path).write_bytes(data)
+        assert self.exit_two(["minimize", path], capsys, path) == f"{path}: {where}: {NOT_UTF8}\n"
+
+    def test_a_truncated_character(self, tmp_path, capsys):
+        path = tmp_path / "x.wnfa"
+        path.write_bytes("alphabet \u00e9 a\n".encode()[:-4])
+        text = self.exit_two(["validate", str(path)], capsys, path)
+        reason = "can't decode byte 0xc3 as UTF-8: unexpected end of data"
+        assert text == f"{path}: line 1, column 10: {reason}\n"
 
 
 def exit_with_closed(argv, fds, stderr=subprocess.PIPE):
@@ -961,9 +1044,10 @@ class TestMinimizeWritesBlocks:
     @pytest.fixture(params=["in-process", "forked"])
     def forks_per_run(self, request, monkeypatch):
         """How many children each run forks on this path, and a list of their pids."""
-        forked = request.param == "forked"
-        monkeypatch.setattr(cli, "_MINIMIZE_FORK_MIN_CHARS", 0 if forked else 1 << 62)
-        return int(forked), count_forks(monkeypatch, False)
+        forking = request.param == "forked"
+        monkeypatch.setattr(forked, "_MIN_CHARS", 0 if forking else 1 << 62)
+        usable_cpus(monkeypatch, 2)
+        return int(forking), count_forks(monkeypatch, False)
 
     @pytest.fixture(scope="class")
     def large(self, tmp_path_factory):
@@ -1034,7 +1118,7 @@ class TestMinimizeWritesBlocks:
         # in process, the trace's records are read off the queue as each
         # block is written; held whole as a list, they would take this
         # input's traced peak to about 1.5 times the untraced one
-        monkeypatch.setattr(cli, "_MINIMIZE_FORK_MIN_CHARS", 1 << 62)
+        monkeypatch.setattr(forked, "_MIN_CHARS", 1 << 62)
         a = gen_random_wheeler(20000, 2, 8, 9)
         path, trace = tmp_path / "a.wnfa", tmp_path / "t.tsv"
         path.write_text(serialize_wnfa(a))
@@ -1362,8 +1446,9 @@ class TestStartup:
     def test_cli_runs_once_under_dash_m(self, files, command):
         # a command module that imported wnfa.cli would run cli.py a second time
         write, _ = files
-        # padded past the real thresholds, so that the command forks
-        path = write("ok.wnfa", padded(CHAIN3, max(THRESHOLDS.values())))
+        # padded past the real threshold, so that the command forks where
+        # two CPUs are usable
+        path = write("ok.wnfa", padded(CHAIN3, forked._MIN_CHARS))
         argv = [sys.executable, "-X", "importtime", "-m", "wnfa.cli", command, path]
         if command == "equiv":
             argv.append(path)
