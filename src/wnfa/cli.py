@@ -32,14 +32,14 @@ witness, ``check-relation`` :mod:`wnfa.relations`, and ``gen``
 :mod:`wnfa.generators`.  So a process compiles only the modules its
 command runs, and what compiling took is freed before the input is read.
 
-:func:`main` runs each command with the cyclic garbage collector off, and
-restores the caller's setting when the command returns or raises; importing
-the package leaves it alone.  Automata, relations and traces are acyclic:
-tuples, lists, dicts and records of ints and strings.  The collector finds
-nothing among them, yet rescans them whenever enough allocations pile up,
-which took 10-13% of each command's time on 2e4-state inputs.  The only
-cyclic garbage a command leaves is a constant number of argparse objects,
-whatever the input size, which the caller's next collection frees.  The
+:func:`main` runs each command with the cyclic garbage collector paused,
+through :func:`wnfa.automaton._paused`, the package's one collector policy,
+which restores the caller's setting when the command returns or raises;
+importing the package leaves it alone.  The collector found nothing among
+a command's automata, relations and traces, yet its rescans took 10-13% of
+each command's time on 2e4-state inputs.  The only cyclic garbage a
+command leaves is a constant number of argparse objects, whatever the
+input size, which the caller's next collection frees.  The
 ``wnfa`` program, :func:`entry`, never collects them: once :func:`main` is
 done, it freezes every object still alive, so the interpreter's collections
 at exit scan nothing.
@@ -60,6 +60,7 @@ from .automaton import (
     WheelerNfa,
     _blocks,
     _dot_blocks,
+    _paused,
     _wnfa_blocks,
     parse_wnfa,
     validate,
@@ -194,8 +195,14 @@ def cmd_minimize(args) -> int:
     def minimized():
         """The quotient and the run if traced: meaningless for an invalid input, raising nothing."""
         bits, run = _propagate(a)
-        if not args.trace:
-            run = None  # held on while the quotient is built, it would raise the peak
+        # held on while the quotient is built, the run would raise the peak
+        if args.trace:
+            from array import array
+
+            # its queue as machine words, not as a list of int objects
+            run = (array("l", run[0]), *run[1:])
+        else:
+            run = None
         return _quotient_by_representatives(a, bits), run
 
     report, done = beside(violations, minimized, chars, check_first=True)
@@ -414,17 +421,13 @@ def main(argv=None) -> int:
         # started with no stderr, e.g. under `2>&-`; argparse would print usage to stdout
         sys.stderr = open(os.devnull, "w")
     argv = list(sys.argv[1:] if argv is None else argv)
-    collecting = gc.isenabled()
     try:
         if argv and argv[0] == "--dev":
             args = _build_dev_parser().parse_args(argv[1:])
         else:
             args = build_parser().parse_args(argv)
-        gc.disable()
-        return args.func(args)
+        return _paused(args.func)(args)
     finally:
-        if collecting:
-            gc.enable()
         # a diagnostic stderr could not take, from _fail or from argparse's
         # usage errors, is still in its buffer
         try:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .automaton import OrderedAlphabet, WheelerNfa, _co_reachable
+from .automaton import OrderedAlphabet, WheelerNfa, _co_reachable, _paused
 
 
+@_paused
 def gen_chain(k: int) -> WheelerNfa:
     """A k-state unary chain: self-loop on state 1, edges i -> i+1, finals {1, k}.
 
@@ -19,6 +20,7 @@ def gen_chain(k: int) -> WheelerNfa:
     return WheelerNfa(k, OrderedAlphabet("a"), edges, {1, k})
 
 
+@_paused
 def gen_distinctness(text) -> WheelerNfa:
     """The (n+2)-state Wheeler DFA encoding a symbol sequence ``text``.
 
@@ -56,6 +58,7 @@ def _below(getrandbits, w: int) -> int:
     return r
 
 
+@_paused
 def gen_random_wheeler(
     n: int,
     edges_per_label_target: int,

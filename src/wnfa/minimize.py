@@ -23,10 +23,19 @@ no trace work, and no list of events is held.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, compress, islice
 
-from .automaton import WheelerNfa, _blocks, _columns, _final_flags, _Record, _runs, is_deterministic
+from .automaton import (
+    WheelerNfa,
+    _blocks,
+    _columns,
+    _final_flags,
+    _paused,
+    _Record,
+    _runs,
+    is_deterministic,
+)
 
 TRACE_SEED = "SEED"
 TRACE_DEQUEUE = "DEQUEUE"
@@ -49,6 +58,7 @@ class IncidenceExtrema(_Record):
     _fields = ("a_min", "j_min", "a_max", "j_max", "z")
 
 
+@_paused
 def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
     """One pass over ``a``'s edge columns in canonical (source, label, target) order.
 
@@ -131,6 +141,7 @@ class BoundaryBits(_Record):
         return tuple(accumulate(self.bits, initial=1))
 
 
+@_paused
 def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     """Boundaries of the maximum order-respecting autobisimulation.
 
@@ -178,7 +189,7 @@ def _propagate(a: WheelerNfa) -> tuple[BoundaryBits, tuple]:
     return BoundaryBits(n, islice(bits, 2, None)), (queue, seeds, j_min, j_max)
 
 
-def _replay(queue: list, seeds: int, j_min: list, j_max: list) -> Iterator[tuple[str, int]]:
+def _replay(queue: Sequence, seeds: int, j_min: list, j_max: list) -> Iterator[tuple[str, int]]:
     """The (event, index) records of a run from :func:`_propagate`, in execution order.
 
     SEED, DEQUEUE, SET-from-jmin, SET-from-jmax, each built as it is read:
@@ -216,6 +227,7 @@ class QuotientResult(_Record):
         return Relation(len(self.class_map), self.quotient.n, enumerate(self.class_map, 1))
 
 
+@_paused
 def quotient(a: WheelerNfa, bits: BoundaryBits) -> QuotientResult:
     """Collapse every maximal 0-run of ``bits`` into a single state.
 
@@ -287,6 +299,7 @@ def _quotient_by_representatives(a: WheelerNfa, bits: BoundaryBits) -> QuotientR
     return QuotientResult(q, class_map)
 
 
+@_paused
 def minimize(a: WheelerNfa) -> QuotientResult:
     """Quotient ``a`` by the maximum order-respecting autobisimulation.
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 
-from .automaton import WheelerNfa, _final_flags, _out_starts
+from .automaton import WheelerNfa, _final_flags, _out_starts, _paused
 from .minimize import BoundaryBits
 from .relations import Relation, _class_pairs, is_wheeler_bisimulation
 
 
+@_paused
 def max_standard_autobisimulation(a: WheelerNfa) -> tuple[int, ...]:
     """Class map of the coarsest equivalence that is a bisimulation from a to a.
 
@@ -44,6 +45,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> tuple[int, ...]:
         class_of = new_class_of
 
 
+@_paused
 def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> BoundaryBits:
     """Maximum order-respecting autobisimulation, by exhaustive search.
 

@@ -23,6 +23,7 @@ from .automaton import (
     _error,
     _final_flags,
     _lines,
+    _paused,
     _out_starts,
     _parse_int,
     _ranks_in,
@@ -34,6 +35,7 @@ class Relation(_Record):
 
     _fields = ("left_size", "right_size", "pairs")
 
+    @_paused
     def __init__(self, left_size: int, right_size: int, pairs: Iterable[tuple[int, int]]):
         pairs = frozenset(tuple(p) for p in pairs)
         for i, j in pairs:
@@ -109,6 +111,7 @@ class CheckFailure(_Record):
         )
 
 
+@_paused
 def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
     """Check the four requirements of a bisimulation, in definition order.
 
@@ -203,6 +206,7 @@ def _minimal_nonconvex_interval(pairs: list[tuple[int, int]], pos: int):
     return None
 
 
+@_paused
 def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
     """Check that ``rel`` is a bisimulation that also respects both orders.
 
@@ -230,6 +234,7 @@ def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> Che
 # --------------------------------------------------------------------------
 
 
+@_paused
 def parse_relation(text: str) -> Relation:
     left = right = None
     pairs = []

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -18,6 +19,13 @@ from wnfa import (
     is_deterministic,
 )
 from wnfa.minimize import TRACE_DEQUEUE, TRACE_SEED, TRACE_SET_JMAX, TRACE_SET_JMIN
+
+
+@pytest.fixture
+def collector_back_on():
+    """Turns the cyclic collector back on after the test, whatever the test left."""
+    yield
+    gc.enable()
 
 
 def build(symbols, n, edges, finals) -> WheelerNfa:

@@ -1135,13 +1135,6 @@ class TestMinimizeWritesBlocks:
         assert trace.read_text() == format_trace(reference_trace(a)[1])
 
 
-@pytest.fixture
-def collector_back_on():
-    """Turns the cyclic collector back on after the test, whatever the test left."""
-    yield
-    gc.enable()
-
-
 @pytest.mark.usefixtures("collector_back_on")
 class TestCollector:
     """`main` runs a command with the cyclic collector off and restores the caller's state."""
