@@ -28,16 +28,18 @@ def _paused(func):
     are tuples, lists, dicts and records of ints and strings.  The
     collector finds nothing among them, yet rescans them whenever enough
     allocations pile up, which took about 14% of building and checking a
-    2e4-state input.  So each public name whose work allocates per state,
-    per edge or per pair runs through this wrapper, and so does each
-    command :func:`wnfa.cli.main` runs.  What a paused call leaves for the
+    2e4-state input.  So each public name that ran collections on such an
+    input runs through this wrapper, and so does each command
+    :func:`wnfa.cli.main` runs.  What a paused call leaves for the
     collector is a constant number of objects, whatever the input's size,
     and the caller's next collection frees it.
 
     The pause is process-wide for the duration of the call: the collector
-    has one switch.  The caller's setting is restored when the call returns
-    or raises.  When the collector is already off, as inside another
-    wrapped call or a command, the wrapper only reads the switch.
+    has one switch, so no thread collects while the call runs, and one
+    that turns the collector off meanwhile finds it back on afterwards.
+    The caller's setting is restored when the call returns or raises.
+    When the collector is already off, as inside another wrapped call or
+    a command, the wrapper only reads the switch.
     """
 
     @wraps(func)

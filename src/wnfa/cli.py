@@ -195,14 +195,13 @@ def cmd_minimize(args) -> int:
     def minimized():
         """The quotient and the run if traced: meaningless for an invalid input, raising nothing."""
         bits, run = _propagate(a)
-        # held on while the quotient is built, the run would raise the peak
         if args.trace:
             from array import array
 
-            # its queue as machine words, not as a list of int objects
+            # kept for the trace; an int object per queued entry would raise the peak
             run = (array("l", run[0]), *run[1:])
         else:
-            run = None
+            run = None  # held on while the quotient is built, it would raise the peak
         return _quotient_by_representatives(a, bits), run
 
     report, done = beside(violations, minimized, chars, check_first=True)

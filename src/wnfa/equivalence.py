@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .automaton import WheelerNfa, _paused, _Record, _ranks_in
+from .automaton import WheelerNfa, _Record, _ranks_in
 from .minimize import QuotientResult, minimize
 
 REASON_SIZE_MISMATCH = "SizeMismatch"
@@ -82,7 +82,6 @@ def compare_minimized(r1: QuotientResult, r2: QuotientResult) -> EquivalenceVerd
     return EquivalenceVerdict(True, REASON_ISOMORPHIC, (r1, r2))
 
 
-@_paused
 def wheeler_bisimilar(a: WheelerNfa, a2: WheelerNfa) -> EquivalenceVerdict:
     """Decide whether some Wheeler bisimulation relates ``a`` and ``a2``.
 

@@ -58,7 +58,6 @@ class IncidenceExtrema(_Record):
     _fields = ("a_min", "j_min", "a_max", "j_max", "z")
 
 
-@_paused
 def compute_extrema(a: WheelerNfa) -> IncidenceExtrema:
     """One pass over ``a``'s edge columns in canonical (source, label, target) order.
 
@@ -141,7 +140,6 @@ class BoundaryBits(_Record):
         return tuple(accumulate(self.bits, initial=1))
 
 
-@_paused
 def boundary_bits(a: WheelerNfa, trace: list | None = None) -> BoundaryBits:
     """Boundaries of the maximum order-respecting autobisimulation.
 
@@ -299,7 +297,6 @@ def _quotient_by_representatives(a: WheelerNfa, bits: BoundaryBits) -> QuotientR
     return QuotientResult(q, class_map)
 
 
-@_paused
 def minimize(a: WheelerNfa) -> QuotientResult:
     """Quotient ``a`` by the maximum order-respecting autobisimulation.
 

@@ -45,7 +45,6 @@ def max_standard_autobisimulation(a: WheelerNfa) -> tuple[int, ...]:
         class_of = new_class_of
 
 
-@_paused
 def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> BoundaryBits:
     """Maximum order-respecting autobisimulation, by exhaustive search.
 

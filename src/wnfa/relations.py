@@ -35,7 +35,6 @@ class Relation(_Record):
 
     _fields = ("left_size", "right_size", "pairs")
 
-    @_paused
     def __init__(self, left_size: int, right_size: int, pairs: Iterable[tuple[int, int]]):
         pairs = frozenset(tuple(p) for p in pairs)
         for i, j in pairs:
@@ -111,7 +110,6 @@ class CheckFailure(_Record):
         )
 
 
-@_paused
 def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
     """Check the four requirements of a bisimulation, in definition order.
 
@@ -206,7 +204,6 @@ def _minimal_nonconvex_interval(pairs: list[tuple[int, int]], pos: int):
     return None
 
 
-@_paused
 def is_wheeler_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
     """Check that ``rel`` is a bisimulation that also respects both orders.
 

@@ -1,5 +1,5 @@
-"""The package's collector policy: each name that allocates per state, per
-edge or per pair runs with the cyclic garbage collector paused, and hands
+"""The package's collector policy: each name that ran collections on a
+2e4-state input runs with the cyclic garbage collector paused, and hands
 the caller's setting back on every exit path.
 
 The CLI half of the policy, :func:`wnfa.cli.main`, is tested in
@@ -17,12 +17,9 @@ from wnfa import (
     Relation,
     WheelerNfa,
     boundary_bits,
-    compute_extrema,
     gen_chain,
     gen_distinctness,
     gen_random_wheeler,
-    is_bisimulation,
-    is_wheeler_bisimulation,
     minimize,
     parse_relation,
     parse_wnfa,
@@ -30,29 +27,23 @@ from wnfa import (
     serialize_relation,
     serialize_wnfa,
     validate,
-    wheeler_bisimilar,
 )
-from wnfa import equivalence
-from wnfa.reference import max_standard_autobisimulation, oracle_max_wheeler_autobisimulation
+from wnfa.automaton import _paused
+from wnfa.reference import max_standard_autobisimulation
 
 
 pytestmark = pytest.mark.usefixtures("collector_back_on")
 
 
-def inputs(n: int, copies: int) -> SimpleNamespace:
-    """A random n-state NFA, its quotient and their class-map relation, with
-    their documents, and a distinctness DFA of 2 + 5 * ``copies`` states whose
-    ``copies`` merges the oracle finds in its first candidate."""
+def inputs(n: int) -> SimpleNamespace:
+    """A random n-state NFA, its boundary bits and the documents of it and
+    of its class-map relation."""
     a = gen_random_wheeler(n, 2, 8, 5)
     result = minimize(a)
-    q = result.quotient
-    pairs = list(enumerate(result.class_map, 1))
-    rel = Relation(a.n, q.n, pairs)
+    rel = Relation(a.n, result.quotient.n, enumerate(result.class_map, 1))
     return SimpleNamespace(
-        n=n, a=a, q=q, pairs=pairs, rel=rel, bits=boundary_bits(a),
-        triples=list(zip(a.sources, a.targets, a.labels)),
+        n=n, a=a, bits=boundary_bits(a), triples=list(zip(a.sources, a.targets, a.labels)),
         text=serialize_wnfa(a), rel_text=serialize_relation(rel),
-        dfa=gen_distinctness("aabab" * copies),
     )
 
 
@@ -63,29 +54,28 @@ CALLS = {
     "WheelerNfa.edges": lambda x: (lambda fresh: lambda: fresh.edges)(parse_wnfa(x.text)),
     "parse_wnfa": lambda x: lambda: parse_wnfa(x.text),
     "validate": lambda x: lambda: validate(x.a),
-    "compute_extrema": lambda x: lambda: compute_extrema(x.a),
-    "boundary_bits": lambda x: lambda: boundary_bits(x.a),
     "quotient": lambda x: lambda: quotient(x.a, x.bits),
-    "minimize": lambda x: lambda: minimize(x.a),
-    "Relation": lambda x: lambda: Relation(x.n, x.q.n, x.pairs),
     "parse_relation": lambda x: lambda: parse_relation(x.rel_text),
-    "is_bisimulation": lambda x: lambda: is_bisimulation(x.a, x.q, x.rel),
-    "is_wheeler_bisimulation": lambda x: lambda: is_wheeler_bisimulation(x.a, x.q, x.rel),
-    "wheeler_bisimilar": lambda x: lambda: wheeler_bisimilar(x.a, x.q),
     "gen_chain": lambda x: lambda: gen_chain(x.n),
     "gen_distinctness": lambda x: lambda: gen_distinctness("ab" * (x.n // 2)),
     "gen_random_wheeler": lambda x: lambda: gen_random_wheeler(x.n, 2, 8, 5),
     "max_standard_autobisimulation": lambda x: lambda: max_standard_autobisimulation(x.a),
-    # the oracle enumerates, so it runs on the distinctness DFA
-    "oracle_max_wheeler_autobisimulation": (
-        lambda x: lambda: oracle_max_wheeler_autobisimulation(x.dfa, cap=x.dfa.n)
-    ),
 }
 
 
 @pytest.fixture(scope="module")
+def small():
+    return inputs(200)
+
+
+@pytest.fixture(scope="module")
+def medium():
+    return inputs(2_000)
+
+
+@pytest.fixture(scope="module")
 def large():
-    return inputs(20_000, 10)
+    return inputs(20_000)
 
 
 def collections(call) -> list[int]:
@@ -113,11 +103,11 @@ def test_no_collection_at_2e4_states(large, name):
 
 
 @pytest.mark.parametrize("name", list(CALLS))
-def test_the_garbage_left_does_not_grow_with_the_input(name):
+def test_the_garbage_left_does_not_grow_with_the_input(small, medium, name):
     # what a paused call leaves for the collector, here collected at once
     found = {}
-    for size, (n, copies) in {"small": (200, 1), "large": (2_000, 10)}.items():
-        call = CALLS[name](inputs(n, copies))
+    for size, x in {"small": small, "large": medium}.items():
+        call = CALLS[name](x)
         gc.collect()
         gc.disable()
         value = call()
@@ -128,8 +118,8 @@ def test_the_garbage_left_does_not_grow_with_the_input(name):
 
 
 @pytest.mark.parametrize("name", list(CALLS))
-def test_off_stays_off(name):
-    call = CALLS[name](inputs(200, 1))
+def test_off_stays_off(small, name):
+    call = CALLS[name](small)
     gc.disable()
     call()
     assert not gc.isenabled()
@@ -143,10 +133,9 @@ def test_off_stays_off(name):
         (lambda: parse_relation("pair 1 1\n"), ParseError),
         (lambda: WheelerNfa(2, parse_wnfa("alphabet a\nstates 1\nfinal\n").alphabet,
                             [(1, 3, 0)], ()), ValueError),
-        (lambda: Relation(1, 1, [(1, 2)]), ValueError),
         (lambda: gen_random_wheeler(0, 2, 8, 1), ValueError),
     ],
-    ids=["parse_wnfa", "parse_relation", "WheelerNfa", "Relation", "gen_random_wheeler"],
+    ids=["parse_wnfa", "parse_relation", "WheelerNfa", "gen_random_wheeler"],
 )
 def test_restored_when_a_call_raises(call, error, enabled):
     (gc.enable if enabled else gc.disable)()
@@ -155,25 +144,23 @@ def test_restored_when_a_call_raises(call, error, enabled):
     assert gc.isenabled() is enabled
 
 
-def test_a_nested_call_leaves_the_pause_to_the_outer_one(monkeypatch):
-    # wheeler_bisimilar minimizes both inputs, then compares the results
-    seen = []
+def test_a_nested_call_leaves_the_pause_to_the_outer_one():
+    # as in a command, which main runs paused: parse the input, then validate it
+    @_paused
+    def command():
+        a = parse_wnfa(serialize_wnfa(gen_chain(5)))
+        after_parse = gc.isenabled()
+        assert validate(a).ok
+        return after_parse, gc.isenabled()
 
-    def compare_and_record(r1, r2):
-        seen.append(gc.isenabled())
-        return compare(r1, r2)
-
-    compare = equivalence.compare_minimized
-    monkeypatch.setattr(equivalence, "compare_minimized", compare_and_record)
     gc.enable()
-    a = gen_chain(5)
-    assert wheeler_bisimilar(a, a).bisimilar
-    assert seen == [False] and gc.isenabled()
+    assert command() == (False, False)
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize(
-    "f", [minimize, validate, gen_random_wheeler, Relation.__init__],
-    ids=["minimize", "validate", "gen_random_wheeler", "Relation"],
+    "f", [quotient, validate, gen_random_wheeler, WheelerNfa.__init__],
+    ids=["quotient", "validate", "gen_random_wheeler", "WheelerNfa"],
 )
 def test_a_wrapped_name_keeps_its_signature_and_docstring(f):
     original = f.__wrapped__
