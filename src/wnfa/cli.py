@@ -10,39 +10,13 @@ diagnostic that cannot reach standard error, without changing the exit
 code.  Every path argument accepts ``-`` for the standard streams; an
 automaton path named twice is read once.
 
-On inputs of millions of characters, ``minimize`` and ``equiv`` each run
-part of their work in one forked child, and report exactly what a
-sequential run would.  ``minimize`` parses its input, then validates it in
-the child while this process minimizes it; once the child reports the
-input valid, it writes its outputs block by block, so no output is ever
-held whole.  ``equiv`` prepares its second input in the child while this
-process prepares the first, drops each input's text once it has parsed
-it, and writes a witness block by block, its pairs read off the two
-class maps.  Each reaps its child on every exit path.  Whether a child is
-forked, and what runs here when none is or it sends nothing, is
-:mod:`wnfa.forked`'s rule; without a child, ``minimize`` validates before
-it minimizes.  There is no option for any of this.
-
-At import this module loads only :mod:`wnfa.automaton` and
-:mod:`wnfa.minimize`, which importing the package loads anyway.  A command
-that needs another module imports it at its top, before it reads any
-input: ``minimize`` :mod:`wnfa.forked`, ``equiv`` :mod:`wnfa.forked` and
-:mod:`wnfa.equivalence`, and :mod:`wnfa.relations` only to write a
-witness, ``check-relation`` :mod:`wnfa.relations`, and ``gen``
-:mod:`wnfa.generators`.  So a process compiles only the modules its
-command runs, and what compiling took is freed before the input is read.
-
-:func:`main` runs each command with the cyclic garbage collector paused,
-through :func:`wnfa.automaton._paused`, the package's one collector policy,
-which restores the caller's setting when the command returns or raises;
-importing the package leaves it alone.  The collector found nothing among
-a command's automata, relations and traces, yet its rescans took 10-13% of
-each command's time on 2e4-state inputs.  The only cyclic garbage a
-command leaves is a constant number of argparse objects, whatever the
-input size, which the caller's next collection frees.  The
-``wnfa`` program, :func:`entry`, never collects them: once :func:`main` is
-done, it freezes every object still alive, so the interpreter's collections
-at exit scan nothing.
+``minimize`` and ``equiv`` may run part of their work in a forked child,
+by :mod:`wnfa.forked`'s rule, and report exactly what a sequential run
+would.  :func:`main` runs each command under :func:`wnfa.automaton._paused`,
+the package's one collector policy.  A command imports what only it needs
+at its top, before it reads any input, so a process compiles only the
+modules its command runs and frees what compiling took before the input
+is read.
 """
 
 from __future__ import annotations
@@ -330,7 +304,7 @@ def cmd_dev_oracle(args) -> int:
 
     a = _load(args.input)
     try:
-        bits = oracle_max_wheeler_autobisimulation(a, cap=args.cap)
+        bits = oracle_max_wheeler_autobisimulation(a)
     except ValueError as exc:
         return _fail(str(exc))
     flags = " ".join("1" if b else "0" for b in bits.bits)
@@ -406,7 +380,6 @@ def _build_dev_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force maximum order-respecting autobisimulation")
     p.add_argument("input")
-    p.add_argument("--cap", type=int, default=16, help="state-count cap for the enumeration")
     p.set_defaults(func=cmd_dev_oracle)
 
     p = sub.add_parser("std-bisim", help="naive coarsest standard-bisimulation partition")

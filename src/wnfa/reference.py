@@ -1,7 +1,10 @@
 """Brute-force references that the linear-time pipeline is tested against.
 
 These stick to the definitions and are written for clarity over speed.
-The command line loads this module only for the ``--dev`` commands, and
+The oracle judges each candidate with
+:func:`wnfa.relations.is_wheeler_bisimulation`, which runs one simulation
+clause on the candidate relation and on its converse, then checks convex
+images and preimages.  The command line loads this module only for the ``--dev`` commands, and
 ``import wnfa`` does not load it.
 """
 
@@ -12,6 +15,9 @@ import itertools
 from .automaton import WheelerNfa, _final_flags, _out_starts, _paused
 from .minimize import BoundaryBits
 from .relations import Relation, _class_pairs, is_wheeler_bisimulation
+
+# the oracle enumerates up to 2^(n-1) convex equivalences
+_ORACLE_MAX_STATES = 16
 
 
 @_paused
@@ -45,7 +51,7 @@ def max_standard_autobisimulation(a: WheelerNfa) -> tuple[int, ...]:
         class_of = new_class_of
 
 
-def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> BoundaryBits:
+def oracle_max_wheeler_autobisimulation(a: WheelerNfa) -> BoundaryBits:
     """Maximum order-respecting autobisimulation, by exhaustive search.
 
     Every candidate is a boundary-bit array over 2..n, i.e. a convex
@@ -65,10 +71,8 @@ def oracle_max_wheeler_autobisimulation(a: WheelerNfa, cap: int = 16) -> Boundar
       no longer change the result either way.
     """
     n = a.n
-    if n > cap:
-        raise ValueError(f"oracle input has {n} states, above the cap of {cap}")
-    if n == 1:
-        return BoundaryBits(1, ())
+    if n > _ORACLE_MAX_STATES:
+        raise ValueError(f"oracle input has {n} states, above the cap of {_ORACLE_MAX_STATES}")
 
     starts, final = _out_starts(a), _final_flags(a)
     out_labels = [frozenset(a.labels[starts[p] : starts[p + 1]]) for p in range(n + 1)]

@@ -2,9 +2,12 @@
 
 The checkers stick to the definitions: they judge the relations users
 hand to ``check-relation``, and the brute-force references in
-:mod:`wnfa.reference` build on them.  They return ``None`` for a passing
-relation and a :class:`CheckFailure` carrying the first witness otherwise,
-scanning in a fixed order so failures reproduce exactly.
+:mod:`wnfa.reference` build on them.  A bisimulation's two simulation
+rules are one clause, run on the relation and on its converse, and the
+two convexity rules are one pass, run on images and on preimages.  The
+checkers return ``None`` for a passing relation and a
+:class:`CheckFailure` carrying the first witness otherwise, scanning in a
+fixed order so failures reproduce exactly.
 """
 
 from __future__ import annotations
@@ -113,11 +116,14 @@ class CheckFailure(_Record):
 def is_bisimulation(a: WheelerNfa, a2: WheelerNfa, rel: Relation) -> CheckFailure | None:
     """Check the four requirements of a bisimulation, in definition order.
 
-    Returns None when ``rel`` is a bisimulation from ``a`` to ``a2``; else
-    the first failure in a deterministic scan (pairs sorted, each state's
-    edges in canonical label-then-target order).  Edges match by token, so
-    the two alphabets may rank their tokens differently; a failure names the
-    label by its rank in its own automaton.
+    forward is the simulation clause for ``rel`` from ``a`` to ``a2``, and
+    backward the same clause for its converse, from ``a2`` to ``a``; then
+    come initial and finality.  Returns None when ``rel`` is a
+    bisimulation from ``a`` to ``a2``; else the first failure in a
+    deterministic scan (pairs sorted, each state's edges in canonical
+    label-then-target order).  Edges match by token, so the two alphabets
+    may rank their tokens differently; a failure names the label by its
+    rank in its own automaton.
     """
     return _bisimulation_failure(a, a2, rel, sorted(rel.pairs))
 
@@ -131,43 +137,47 @@ def _bisimulation_failure(a: WheelerNfa, a2: WheelerNfa, rel: Relation, pairs):
         )
     starts1, final1 = _out_starts(a), _final_flags(a)
     starts2, final2 = (starts1, final1) if a2 is a else (_out_starts(a2), _final_flags(a2))
-    targets1, labels1, targets2, labels2 = a.targets, a.labels, a2.targets, a2.labels
-    to2, to1 = _ranks_in(a, a2), _ranks_in(a2, a)
     related = rel.pairs
-
-    def with_out_edges(starts, side):
-        """The pairs whose entry ``side`` has an out-edge, picked out in C."""
-        has_out = bytes(map(ne, starts, islice(starts, 1, None)))  # has_out[u]: u has one
-        return compress(pairs, map(has_out.__getitem__, map(itemgetter(side), pairs)))
-
-    # labels ascend in a state's range: bisection finds the run of an edge's token
-    for u, u2 in with_out_edges(starts1, 0):
-        lo, hi = starts2[u2], starts2[u2 + 1]
-        for k in range(starts1[u], starts1[u + 1]):
-            v, lab = targets1[k], to2[labels1[k]]
-            j = hi if lab is None else bisect_left(labels2, lab, lo, hi)
-            while j < hi and labels2[j] == lab:
-                if (v, targets2[j]) in related:
-                    break
-                j += 1
-            else:
-                return CheckFailure("forward", pair=(u, u2), edge=(u, v, labels1[k]))
-    for u, u2 in with_out_edges(starts2, 1):
-        lo, hi = starts1[u], starts1[u + 1]
-        for k in range(starts2[u2], starts2[u2 + 1]):
-            v2, lab = targets2[k], to1[labels2[k]]
-            j = hi if lab is None else bisect_left(labels1, lab, lo, hi)
-            while j < hi and labels1[j] == lab:
-                if (targets1[j], v2) in related:
-                    break
-                j += 1
-            else:
-                return CheckFailure("backward", pair=(u, u2), edge=(u2, v2, labels2[k]))
+    sides = ((a, starts1), (a2, starts2))
+    for side, rule in enumerate(("forward", "backward")):
+        hit = _unmatched_edge(pairs, related, side, *sides[side], *sides[1 - side])
+        if hit is not None:
+            return CheckFailure(rule, pair=hit[0], edge=hit[1])
     if (1, 1) not in related:
         return CheckFailure("initial")
     for u, u2 in pairs:
         if final1[u] != final2[u2]:
             return CheckFailure("finality", pair=(u, u2))
+    return None
+
+
+def _unmatched_edge(pairs, related, side, a, starts, a2, starts2):
+    """The first of ``pairs`` whose entry ``side`` has an edge the other entry cannot match.
+
+    Entry ``side`` is a state u of ``a``, the other a state u2 of ``a2``;
+    ``starts`` and ``starts2`` are their out-edge offsets.  An edge (u, v)
+    is matched by an equally labelled (u2, v2) with (v, v2) related for side
+    0 and (v2, v) for side 1: the clause for the relation and its converse.
+    Returns (pair, (u, v, u's label rank)), or None.
+    """
+    targets, labels, targets2, labels2 = a.targets, a.labels, a2.targets, a2.labels
+    ranks2 = _ranks_in(a, a2)
+    forward = side == 0
+    has_out = bytes(map(ne, starts, islice(starts, 1, None)))  # has_out[u]: u has one
+    # the pairs whose state has an out-edge, as (state, partner), picked out in C
+    oriented = pairs if forward else map(itemgetter(1, 0), pairs)
+    for u, u2 in compress(oriented, map(has_out.__getitem__, map(itemgetter(side), pairs))):
+        lo, hi = starts2[u2], starts2[u2 + 1]
+        for k in range(starts[u], starts[u + 1]):
+            v, lab = targets[k], ranks2[labels[k]]
+            # labels ascend in a state's range: bisection finds the run of the token
+            j = hi if lab is None else bisect_left(labels2, lab, lo, hi)
+            while j < hi and labels2[j] == lab:
+                if ((v, targets2[j]) if forward else (targets2[j], v)) in related:
+                    break
+                j += 1
+            else:
+                return ((u, u2) if forward else (u2, u)), (u, v, labels[k])
     return None
 
 

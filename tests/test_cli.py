@@ -1007,7 +1007,7 @@ class TestUnwritableDiagnostics:
             (["equiv", "{a}", "{missing}"], 2),
             (["check-relation", "{a}", "{a}", "{r}", "--standard"], 2),
             (["gen", "chain", "2"], 2),
-            (["--dev", "oracle", "{a}", "--cap", "2"], 2),
+            (["--dev", "oracle", "{c17}"], 2),
             (["gen", "chain", "x"], 2),
         ],
         ids=[
@@ -1021,6 +1021,7 @@ class TestUnwritableDiagnostics:
             missing=str(tmp / "nope" / "x"),
             u=write("u.wnfa", UNREACHABLE),
             a=write("c.wnfa", CHAIN3),
+            c17=write("c17.wnfa", serialize_wnfa(gen_chain(17))),
             r=write("r.rel", "relation 2 2\npair 1 1\n"),
         )
         argv = [arg.format(**paths) for arg in argv]
@@ -1343,7 +1344,17 @@ class TestDevNamespace:
         write, _ = files
         path = write("c.wnfa", serialize_wnfa(gen_chain(17)))
         assert main(["--dev", "oracle", path]) == 2
-        assert main(["--dev", "oracle", path, "--cap", "20"]) == 0
+        assert capsys.readouterr() == ("", "oracle input has 17 states, above the cap of 16\n")
+
+    def test_the_cap_is_not_an_option(self, files, capsys):
+        write, _ = files
+        path = write("c.wnfa", CHAIN3)
+        with pytest.raises(SystemExit) as err:
+            main(["--dev", "oracle", path, "--cap", "20"])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --cap 20" in err_text
 
     def test_std_bisim(self, files, capsys):
         write, _ = files

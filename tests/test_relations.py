@@ -666,7 +666,7 @@ class TestOracle:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            oracle_max_wheeler_autobisimulation(gen_chain(17), cap=16)
+            oracle_max_wheeler_autobisimulation(gen_chain(17))
 
     def test_matches_unpruned_enumeration(self):
         # re-derive the answer with no pruning at all: every bit array, full check
